@@ -1,17 +1,49 @@
 #include "cache/cache.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/log.h"
+#include "util/simerror.h"
 
 namespace vksim {
 
 namespace {
 
-const char *
-originName(AccessOrigin o)
+/**
+ * Per-origin counter names, built once: access() runs for every memory
+ * request, so it must not concatenate strings to find its counters.
+ */
+struct OriginStatNames
 {
-    return o == AccessOrigin::Shader ? "shader" : "rtunit";
+    explicit OriginStatNames(const std::string &origin)
+        : accesses("accesses." + origin), writes("writes." + origin),
+          hits("hits." + origin), writeMiss("write_miss." + origin),
+          missCompulsory("miss_compulsory." + origin),
+          missCapacityConflict("miss_capacity_conflict." + origin),
+          sectorMiss("sector_miss." + origin),
+          lineMiss("line_miss." + origin)
+    {
+    }
+
+    std::string accesses, writes, hits, writeMiss, missCompulsory,
+        missCapacityConflict, sectorMiss, lineMiss;
+};
+
+const OriginStatNames &
+statNames(AccessOrigin o)
+{
+    static const OriginStatNames names[] = {OriginStatNames("shader"),
+                                            OriginStatNames("rtunit")};
+    return names[static_cast<unsigned>(o)];
+}
+
+/** Home slot of a line tag in a 2^bits-slot index (Fibonacci hashing). */
+unsigned
+homeSlot(Addr tag, unsigned bits)
+{
+    return static_cast<unsigned>((tag * 0x9E3779B97F4A7C15ull)
+                                 >> (64 - bits));
 }
 
 } // namespace
@@ -39,7 +71,16 @@ Cache::Cache(const CacheConfig &config)
         numSets_ = static_cast<unsigned>(num_lines / ways_);
         vksim_assert(numSets_ > 0);
     }
+    vksim_assert(ways_ <= kMaxCacheWays);
     lines_.resize(static_cast<std::size_t>(numSets_) * ways_);
+    // At least two slots per way keeps every probe run short and
+    // guarantees an empty slot to end it.
+    indexBits_ = 1;
+    while ((1u << indexBits_) < 2 * ways_)
+        ++indexBits_;
+    index_.resize(static_cast<std::size_t>(numSets_) << indexBits_);
+    links_.resize(static_cast<std::size_t>(numSets_) * (ways_ + 1));
+    reset();
 }
 
 unsigned
@@ -55,56 +96,131 @@ Cache::sectorOf(Addr addr) const
                                  / kSectorBytes);
 }
 
-Cache::Line *
-Cache::probeLine(Addr addr)
+unsigned
+Cache::findSlot(const Way *slots, const Line *lines, Addr tag) const
 {
-    Addr tag = addr / config_.lineBytes;
-    Line *base = &lines_[static_cast<std::size_t>(setIndex(addr)) * ways_];
-    for (unsigned w = 0; w < ways_; ++w)
-        if (base[w].validMask != 0 && base[w].tag == tag)
-            return &base[w];
-    return nullptr;
+    const unsigned mask = (1u << indexBits_) - 1;
+    unsigned s = homeSlot(tag, indexBits_);
+    while (slots[s] != kNoWay && lines[slots[s]].tag != tag)
+        s = (s + 1) & mask;
+    return s;
 }
 
-const Cache::Line *
-Cache::probeLine(Addr addr) const
+Cache::Way
+Cache::lookup(unsigned set, Addr tag) const
 {
-    return const_cast<Cache *>(this)->probeLine(addr);
+    const Way *slots = setSlots(set);
+    return slots[findSlot(slots, setLines(set), tag)];
+}
+
+void
+Cache::unindex(unsigned set, Way way)
+{
+    Way *slots = setSlots(set);
+    const Line *lines = setLines(set);
+    const unsigned mask = (1u << indexBits_) - 1;
+    unsigned hole = findSlot(slots, lines, lines[way].tag);
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless the hole lies before the entry's home slot,
+    // so every remaining entry stays reachable from its home.
+    for (unsigned s = (hole + 1) & mask; slots[s] != kNoWay;
+         s = (s + 1) & mask) {
+        unsigned home = homeSlot(lines[slots[s]].tag, indexBits_);
+        if (((s - home) & mask) >= ((s - hole) & mask)) {
+            slots[hole] = slots[s];
+            hole = s;
+        }
+    }
+    slots[hole] = kNoWay;
+}
+
+bool
+Cache::lruBefore(const Line *lines, Way a, Way b)
+{
+    const bool a_valid = lines[a].validMask != 0;
+    const bool b_valid = lines[b].validMask != 0;
+    if (a_valid != b_valid)
+        return !a_valid;
+    if (a_valid && lines[a].lastUse != lines[b].lastUse)
+        return lines[a].lastUse < lines[b].lastUse;
+    return a < b;
+}
+
+void
+Cache::touch(unsigned set, Way way)
+{
+    Link *links = setLinks(set);
+    const Line *lines = setLines(set);
+    const Way sentinel = static_cast<Way>(ways_);
+    links[links[way].prev].next = links[way].next;
+    links[links[way].next].prev = links[way].prev;
+    // The new key is almost always the largest (time moves forward), so
+    // search from the tail; an earlier `now` just walks further.
+    Way after = links[sentinel].prev;
+    while (after != sentinel && lruBefore(lines, way, after))
+        after = links[after].prev;
+    links[way].prev = after;
+    links[way].next = links[after].next;
+    links[links[after].next].prev = way;
+    links[after].next = way;
+}
+
+void
+Cache::rebuildLists()
+{
+    const Way sentinel = static_cast<Way>(ways_);
+    std::vector<Way> order(ways_);
+    for (unsigned set = 0; set < numSets_; ++set) {
+        const Line *lines = setLines(set);
+        std::iota(order.begin(), order.end(), Way(0));
+        std::sort(order.begin(), order.end(), [lines](Way a, Way b) {
+            return lruBefore(lines, a, b);
+        });
+        Link *links = setLinks(set);
+        Way prev = sentinel;
+        for (Way w : order) {
+            links[prev].next = w;
+            links[w].prev = prev;
+            prev = w;
+        }
+        links[prev].next = sentinel;
+        links[sentinel].prev = prev;
+    }
 }
 
 bool
 Cache::contains(Addr addr) const
 {
     addr = sectorAlign(addr);
-    const Line *line = probeLine(addr);
-    return line != nullptr
-           && ((line->validMask >> sectorOf(addr)) & 1u) != 0;
+    const unsigned set = setIndex(addr);
+    const Way way = lookup(set, addr / config_.lineBytes);
+    return way != kNoWay
+           && ((setLines(set)[way].validMask >> sectorOf(addr)) & 1u) != 0;
 }
 
-Cache::Line *
-Cache::insert(Addr addr, Cycle now)
+void
+Cache::insert(unsigned set, Addr tag, std::uint32_t fill_bits, Cycle now)
 {
-    Addr tag = addr / config_.lineBytes;
-    Line *base = &lines_[static_cast<std::size_t>(setIndex(addr)) * ways_];
-    Line *victim = &base[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].validMask == 0) {
-            victim = &base[w];
-            break;
+    // The replacement list's head is the victim: the lowest-numbered
+    // invalid way, else the least recently used (lowest way on ties).
+    const Way way = setLinks(set)[ways_].next;
+    Line *lines = setLines(set);
+    Line &victim = lines[way];
+    if (victim.validMask != 0) {
+        if (sectored_) {
+            stats_.counter("line_evictions").inc();
+            if (victim.dirtyMask != 0 && victim.dirtyMask != fullMask_)
+                stats_.counter("evict_partial_dirty").inc();
         }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
+        unindex(set, way);
     }
-    if (sectored_ && victim->validMask != 0) {
-        stats_.counter("line_evictions").inc();
-        if (victim->dirtyMask != 0 && victim->dirtyMask != fullMask_)
-            stats_.counter("evict_partial_dirty").inc();
-    }
-    victim->tag = tag;
-    victim->validMask = 0;
-    victim->dirtyMask = 0;
-    victim->lastUse = now;
-    return victim;
+    victim.tag = tag;
+    victim.validMask = fill_bits;
+    victim.dirtyMask = 0;
+    victim.lastUse = now;
+    Way *slots = setSlots(set);
+    slots[findSlot(slots, lines, tag)] = way;
+    touch(set, way);
 }
 
 CacheOutcome
@@ -112,26 +228,29 @@ Cache::access(Addr addr, bool write, AccessOrigin origin, std::uint64_t tag,
               Cycle now)
 {
     addr = sectorAlign(addr);
-    std::string origin_name = originName(origin);
+    const OriginStatNames &names = statNames(origin);
 
-    Line *line = probeLine(addr);
+    const unsigned set = setIndex(addr);
+    const Way way = lookup(set, addr / config_.lineBytes);
+    Line *line = way == kNoWay ? nullptr : &setLines(set)[way];
     std::uint32_t sector_bit = std::uint32_t(1) << sectorOf(addr);
     if (line != nullptr && (line->validMask & sector_bit) != 0) {
         line->lastUse = now;
+        touch(set, way);
         if (write)
             line->dirtyMask |= sector_bit;
-        stats_.counter("accesses." + origin_name).inc();
+        stats_.counter(names.accesses).inc();
         if (write)
-            stats_.counter("writes." + origin_name).inc();
-        stats_.counter("hits." + origin_name).inc();
+            stats_.counter(names.writes).inc();
+        stats_.counter(names.hits).inc();
         return CacheOutcome::Hit;
     }
 
     if (write) {
         // Write-through, no-allocate: forwarded downstream by the caller.
-        stats_.counter("accesses." + origin_name).inc();
-        stats_.counter("writes." + origin_name).inc();
-        stats_.counter("write_miss." + origin_name).inc();
+        stats_.counter(names.accesses).inc();
+        stats_.counter(names.writes).inc();
+        stats_.counter(names.writeMiss).inc();
         return CacheOutcome::MissNew;
     }
 
@@ -151,7 +270,7 @@ Cache::access(Addr addr, bool write, AccessOrigin origin, std::uint64_t tag,
         return CacheOutcome::Stall;
     }
 
-    stats_.counter("accesses." + origin_name).inc();
+    stats_.counter(names.accesses).inc();
     if (it != mshrs_.end()) {
         // Secondary miss folded into an in-flight fill. Counted only as
         // a merge: the sector was never resident, so classifying it as a
@@ -164,17 +283,17 @@ Cache::access(Addr addr, bool write, AccessOrigin origin, std::uint64_t tag,
 
     bool compulsory = everSeen_.insert(addr).second;
     stats_
-        .counter((compulsory ? "miss_compulsory." : "miss_capacity_conflict.")
-                 + origin_name)
+        .counter(compulsory ? names.missCompulsory
+                            : names.missCapacityConflict)
         .inc();
     if (sectored_) {
         // Sector/line split (only meaningful with multi-sector lines, so
         // the counters are not even created in the seed configuration):
         // every primary read miss is a sector miss; the subset with no
         // matching tag at all also missed the line.
-        stats_.counter("sector_miss." + origin_name).inc();
+        stats_.counter(names.sectorMiss).inc();
         if (line == nullptr)
-            stats_.counter("line_miss." + origin_name).inc();
+            stats_.counter(names.lineMiss).inc();
     }
     mshrs_[addr].targets.push_back(tag);
     return CacheOutcome::MissNew;
@@ -196,13 +315,17 @@ Cache::fill(Addr addr, Cycle now)
     std::uint32_t fill_bits = config_.fillPolicy == CacheFillPolicy::LineFill
                                   ? fullMask_
                                   : std::uint32_t(1) << sectorOf(addr);
-    Line *line = probeLine(addr);
-    if (line != nullptr) {
+    const unsigned set = setIndex(addr);
+    const Addr tag = addr / config_.lineBytes;
+    const Way way = lookup(set, tag);
+    if (way != kNoWay) {
         // Sector fill into an already-tagged line (only reachable with
         // multi-sector lines: a single-sector resident line never has an
         // outstanding MSHR).
-        line->validMask |= fill_bits;
-        line->lastUse = now;
+        Line &line = setLines(set)[way];
+        line.validMask |= fill_bits;
+        line.lastUse = now;
+        touch(set, way);
     } else {
         // Streaming reservation: allocate the tag only when the merged
         // target count proves reuse; a low-reuse fill answers its
@@ -210,7 +333,7 @@ Cache::fill(Addr addr, Cycle now)
         bool allocate = config_.streamingThreshold == 0
                         || merged >= config_.streamingThreshold;
         if (allocate) {
-            insert(addr, now)->validMask |= fill_bits;
+            insert(set, tag, fill_bits, now);
             if (config_.streamingThreshold != 0)
                 stats_.counter("streaming_alloc_fills").inc();
         } else {
@@ -280,20 +403,80 @@ Cache::checkInvariants(check::Reporter &rep, const std::string &path,
     }
     if (!deep)
         return;
-    // Deep scan: a (set, tag) pair must map to at most one valid line;
-    // duplicates would make hits/evictions depend on probe order.
+    // Deep scan: each set's tag index must hold exactly its valid lines
+    // (a stale, missing or duplicate entry makes hits depend on probe
+    // order), and its replacement list must order all of its ways by
+    // (valid, lastUse, way), or the head is not the LRU victim.
+    const Way sentinel = static_cast<Way>(ways_);
+    const unsigned num_slots = 1u << indexBits_;
+    std::vector<char> listed(ways_);
     for (unsigned set = 0; set < numSets_; ++set) {
-        const Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
-        for (unsigned a = 0; a < ways_; ++a) {
-            if (base[a].validMask == 0)
+        auto in_set = [set] { return " in set " + std::to_string(set); };
+        const Line *lines = setLines(set);
+        const Way *slots = setSlots(set);
+        unsigned indexed = 0;
+        bool slots_ok = true;
+        for (unsigned s = 0; s < num_slots; ++s) {
+            if (slots[s] == kNoWay)
                 continue;
-            for (unsigned b = a + 1; b < ways_; ++b)
-                if (base[b].validMask != 0 && base[b].tag == base[a].tag)
-                    rep.report(path + ".lines",
-                               "duplicate valid line for tag "
-                                   + std::to_string(base[a].tag) + " in set "
-                                   + std::to_string(set));
+            ++indexed;
+            if (slots[s] >= ways_ || lines[slots[s]].validMask == 0) {
+                rep.report(path + ".index",
+                           "slot " + std::to_string(s) + " holds way "
+                               + std::to_string(slots[s])
+                               + ", not a valid line" + in_set());
+                slots_ok = false;
+            }
         }
+        unsigned valid = 0;
+        for (unsigned w = 0; w < ways_; ++w)
+            valid += lines[w].validMask != 0;
+        if (indexed != valid)
+            rep.report(path + ".index",
+                       std::to_string(indexed) + " index entries for "
+                           + std::to_string(valid) + " valid lines"
+                           + in_set());
+        // Probing needs in-range ways and an empty slot to stop at.
+        if (slots_ok && indexed < num_slots)
+            for (unsigned w = 0; w < ways_; ++w)
+                if (lines[w].validMask != 0
+                    && slots[findSlot(slots, lines, lines[w].tag)] != w)
+                    rep.report(path + ".index",
+                               "valid way " + std::to_string(w)
+                                   + " is not found by its tag "
+                                   + std::to_string(lines[w].tag)
+                                   + " (duplicate or unindexed)" + in_set());
+
+        const Link *links = setLinks(set);
+        std::fill(listed.begin(), listed.end(), 0);
+        unsigned count = 0;
+        Way prev = sentinel;
+        bool list_ok = true;
+        for (Way w = links[sentinel].next; w != sentinel;
+             prev = w, w = links[w].next) {
+            if (w >= ways_ || listed[w] != 0 || links[w].prev != prev) {
+                rep.report(path + ".lru", "replacement list broken at way "
+                                              + std::to_string(w) + in_set());
+                list_ok = false;
+                break;
+            }
+            if (prev != sentinel && !lruBefore(lines, prev, w)) {
+                rep.report(path + ".lru",
+                           "way " + std::to_string(w) + " follows way "
+                               + std::to_string(prev)
+                               + " out of (valid, lastUse, way) order"
+                               + in_set());
+                list_ok = false;
+                break;
+            }
+            listed[w] = 1;
+            ++count;
+        }
+        if (list_ok && (count != ways_ || links[sentinel].prev != prev))
+            rep.report(path + ".lru",
+                       "replacement list links " + std::to_string(count)
+                           + " of " + std::to_string(ways_) + " ways"
+                           + in_set());
     }
 }
 
@@ -333,8 +516,9 @@ Cache::stateDigest() const
 void
 Cache::reset()
 {
-    for (Line &l : lines_)
-        l = Line{};
+    std::fill(lines_.begin(), lines_.end(), Line{});
+    std::fill(index_.begin(), index_.end(), kNoWay);
+    rebuildLists();
     mshrs_.clear();
     everSeen_.clear();
     stats_.reset();
@@ -374,20 +558,66 @@ Cache::saveState(serial::Writer &w) const
 void
 Cache::loadState(serial::Reader &r)
 {
+    auto reject = [this](const std::string &why) {
+        throw SimError(config_.name + " snapshot: " + why);
+    };
     std::uint64_t num_lines = r.u64();
-    vksim_assert(num_lines == lines_.size());
-    for (Line &l : lines_) {
+    if (num_lines != lines_.size())
+        reject(std::to_string(num_lines) + " lines, the cache has "
+               + std::to_string(lines_.size()));
+    std::vector<Line> lines(lines_.size());
+    for (Line &l : lines) {
         l.tag = r.u64();
         l.validMask = r.u32();
         l.dirtyMask = r.u32();
         l.lastUse = r.u64();
     }
+    // Reject line states no saveState can write before rebuilding the
+    // tag index, which relies on them: one valid line per (set, tag).
+    std::vector<Way> index(index_.size(), kNoWay);
+    for (unsigned set = 0; set < numSets_; ++set) {
+        const Line *base = &lines[static_cast<std::size_t>(set) * ways_];
+        Way *slots = &index[static_cast<std::size_t>(set) << indexBits_];
+        for (unsigned w = 0; w < ways_; ++w) {
+            const Line &l = base[w];
+            auto at = [&] {
+                return "set " + std::to_string(set) + " way "
+                       + std::to_string(w) + ": ";
+            };
+            if ((l.validMask & ~fullMask_) != 0)
+                reject(at() + "valid mask " + std::to_string(l.validMask)
+                       + " has bits beyond the "
+                       + std::to_string(sectorsPerLine_) + "-sector line");
+            if ((l.dirtyMask & ~l.validMask) != 0)
+                reject(at() + "dirty mask " + std::to_string(l.dirtyMask)
+                       + " marks sectors outside valid mask "
+                       + std::to_string(l.validMask));
+            if (l.validMask == 0)
+                continue;
+            if (l.tag % numSets_ != set)
+                reject(at() + "tag " + std::to_string(l.tag)
+                       + " maps to set " + std::to_string(l.tag % numSets_));
+            unsigned s = findSlot(slots, base, l.tag);
+            if (slots[s] != kNoWay)
+                reject(at() + "tag " + std::to_string(l.tag)
+                       + " duplicates way " + std::to_string(slots[s]));
+            slots[s] = static_cast<Way>(w);
+        }
+    }
+    lines_ = std::move(lines);
+    index_ = std::move(index);
+    rebuildLists();
+
     mshrs_.clear();
     std::uint64_t num_mshrs = r.u64();
     for (std::uint64_t i = 0; i < num_mshrs; ++i) {
         Addr addr = r.u64();
         Mshr &m = mshrs_[addr];
-        m.targets.resize(r.u64());
+        std::uint64_t num_targets = r.u64();
+        if (num_targets > r.remaining() / 8)
+            reject("MSHR with " + std::to_string(num_targets)
+                   + " targets overruns the payload");
+        m.targets.resize(num_targets);
         for (std::uint64_t &t : m.targets)
             t = r.u64();
     }

@@ -45,6 +45,12 @@ enum class AccessOrigin : std::uint8_t
 /** Sector (request) size throughout the memory system. */
 inline constexpr Addr kSectorBytes = 32;
 
+/**
+ * Most ways one cache set may hold: the tag index and the replacement
+ * list address ways with 16-bit numbers and reserve 0xFFFF as "none".
+ */
+inline constexpr unsigned kMaxCacheWays = 65535;
+
 /** Align an address down to its sector. */
 inline Addr
 sectorAlign(Addr a)
@@ -115,6 +121,11 @@ enum class CacheOutcome
 /**
  * Tag-array + MSHR model. The cache stores no data (functional state
  * lives in GlobalMemory); it tracks presence, LRU and outstanding misses.
+ *
+ * Lookup and victim selection are O(1) at any associativity: beside the
+ * line array each set keeps a hashed tag index of its valid lines and a
+ * replacement list sorted by (valid, lastUse, way), whose head is the
+ * LRU victim (DESIGN.md, "Tag index and replacement order").
  *
  * As a ClockedUnit the cache is *passive*: it has no pipeline of its
  * own (timing is imposed by its owner), so cycle() is a no-op, idle()
@@ -195,8 +206,10 @@ class Cache : public ClockedUnit
 
     /**
      * Validate internal bookkeeping (MSHR capacity/target limits and
-     * sector-mask sanity; with `deep`, a full scan for duplicate valid
-     * lines within a set). Violations go to `rep` under `path`.
+     * sector-mask sanity; with `deep`, that every set's tag index holds
+     * exactly its valid lines and its replacement list is a permutation
+     * of its ways sorted by (valid, lastUse, way)). Violations go to
+     * `rep` under `path`.
      */
     void checkInvariants(check::Reporter &rep, const std::string &path,
                          bool deep) const;
@@ -214,7 +227,9 @@ class Cache : public ClockedUnit
      * Serialize / restore tag array, MSHRs, miss-classification history
      * and statistics (checkpointing). Lookup-only unordered containers
      * are written sorted by key so the byte stream is independent of
-     * hash-map iteration order.
+     * hash-map iteration order. loadState throws SimError on bytes no
+     * saveState could have written (wrong line count, sector masks out
+     * of range, a valid tag duplicated or stored in the wrong set).
      */
     void saveState(serial::Writer &w) const;
     void loadState(serial::Reader &r);
@@ -233,11 +248,74 @@ class Cache : public ClockedUnit
         std::vector<std::uint64_t> targets;
     };
 
+    /** Way number within a set; kNoWay marks an empty index slot. */
+    using Way = std::uint16_t;
+    static constexpr Way kNoWay = 0xFFFF;
+
+    /**
+     * Replacement-list links. Each set owns ways_ + 1 nodes: one per way
+     * plus a sentinel (node ways_) whose `next` is the victim.
+     */
+    struct Link
+    {
+        Way prev;
+        Way next;
+    };
+
     unsigned setIndex(Addr addr) const;
     unsigned sectorOf(Addr addr) const;
-    Line *probeLine(Addr addr);
-    const Line *probeLine(Addr addr) const;
-    Line *insert(Addr addr, Cycle now);
+
+    Line *
+    setLines(unsigned set)
+    {
+        return &lines_[static_cast<std::size_t>(set) * ways_];
+    }
+    const Line *
+    setLines(unsigned set) const
+    {
+        return &lines_[static_cast<std::size_t>(set) * ways_];
+    }
+    Way *
+    setSlots(unsigned set)
+    {
+        return &index_[static_cast<std::size_t>(set) << indexBits_];
+    }
+    const Way *
+    setSlots(unsigned set) const
+    {
+        return &index_[static_cast<std::size_t>(set) << indexBits_];
+    }
+    Link *
+    setLinks(unsigned set)
+    {
+        return &links_[static_cast<std::size_t>(set) * (ways_ + 1)];
+    }
+    const Link *
+    setLinks(unsigned set) const
+    {
+        return &links_[static_cast<std::size_t>(set) * (ways_ + 1)];
+    }
+
+    /**
+     * Linear-probe the index of a set (`slots`, over `lines`) for `tag`:
+     * the slot holding it, or else the empty slot that ends the probe.
+     */
+    unsigned findSlot(const Way *slots, const Line *lines, Addr tag) const;
+    /** Way holding valid line `tag` in `set`, or kNoWay. */
+    Way lookup(unsigned set, Addr tag) const;
+    /** Remove the index entry of valid way `way` (backward-shift delete). */
+    void unindex(unsigned set, Way way);
+    /** Replacement order: (valid, lastUse, way) of `a` sorts before `b`'s. */
+    static bool lruBefore(const Line *lines, Way a, Way b);
+    /** Move `way` to its sorted place after its key changed. */
+    void touch(unsigned set, Way way);
+    /** Rebuild every set's replacement list from lines_ (reset/restore). */
+    void rebuildLists();
+    /**
+     * Allocate the victim way of `set` for `tag` with sectors `fill_bits`
+     * valid (evicting its line, if any).
+     */
+    void insert(unsigned set, Addr tag, std::uint32_t fill_bits, Cycle now);
 
     CacheConfig config_;
     unsigned numSets_;
@@ -246,6 +324,9 @@ class Cache : public ClockedUnit
     bool sectored_; ///< lineBytes > kSectorBytes
     std::uint32_t fullMask_;
     std::vector<Line> lines_; ///< numSets_ x ways_
+    unsigned indexBits_; ///< log2 of the index slots per set (>= 2 x ways_)
+    std::vector<Way> index_; ///< numSets_ x 2^indexBits_ slots
+    std::vector<Link> links_; ///< numSets_ x (ways_ + 1) nodes
     std::unordered_map<Addr, Mshr> mshrs_;
     std::unordered_set<Addr> everSeen_; ///< for compulsory classification
     StatGroup stats_;

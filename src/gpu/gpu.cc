@@ -80,6 +80,15 @@ GpuConfig::validate() const
         require(c.lineBytes == 0 || c.sizeBytes % c.lineBytes == 0,
                 who + ".sizeBytes must be a multiple of lineBytes (the "
                       "cache is a whole number of lines)");
+        const Addr ways = c.assoc != 0
+                              ? c.assoc
+                              : c.sizeBytes / std::max(c.lineBytes, Addr(1));
+        require(ways <= kMaxCacheWays,
+                who + " has " + std::to_string(ways)
+                    + " ways per set; the tag index addresses at most "
+                    + std::to_string(kMaxCacheWays)
+                    + " (lower assoc, or for a fully associative cache "
+                      "raise lineBytes or lower sizeBytes)");
     };
 
     require(numSms != 0, "numSms must be >= 1 (0 SMs cannot run any warp)");
