@@ -230,15 +230,20 @@ TEST(TraversalTest, ShortStackSpillsOnDeepScenes)
     EXPECT_GT(spills, 0u) << "a deep scene must exercise the spill path";
 }
 
-/** Property test: serialized-BVH traversal agrees with brute force. */
+/**
+ * Property test: serialized-BVH traversal agrees with brute force.
+ * The scene name is a std::string, not a const char *: gtest prints a
+ * pointer inside a tuple as its address, which would put a per-run
+ * address into the registered test names.
+ */
 class TraversalPropertyTest
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {
   protected:
     Scene
     makeScene() const
     {
-        std::string name = std::get<0>(GetParam());
+        const std::string &name = std::get<0>(GetParam());
         if (name == "tri")
             return makeTriScene();
         if (name == "ref")
@@ -320,7 +325,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "rtv6"),
                        ::testing::Values(1, 2)),
     [](const ::testing::TestParamInfo<TraversalPropertyTest::ParamType> &i) {
-        return std::string(std::get<0>(i.param)) + "_seed"
+        return std::get<0>(i.param) + "_seed"
                + std::to_string(std::get<1>(i.param));
     });
 
