@@ -25,6 +25,7 @@
 #include "accel/nodetest.h"
 #include "cache/cache.h"
 #include "core/vulkansim.h"
+#include "dram/fabric.h"
 #include "reftrace/tracer.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -424,6 +425,57 @@ BM_CacheAccess(benchmark::State &state)
                                : "baseline L2 slice, 16-way");
 }
 BENCHMARK(BM_CacheAccess)->Arg(0)->Arg(1);
+
+/**
+ * One DRAM channel tick — the per-tick bank pass plus the FR-FCFS scan —
+ * with the request queue refilled to a fixed depth after every tick.
+ * Arg 0 is the depth (4, or the baseline queue size 64), Arg 1 picks
+ * the Table III baseline timings (0) or the modern bank-group, tRRD and
+ * refresh timings (1). The stream alternates same-row runs with
+ * scattered sectors, so both row hits and row misses issue.
+ */
+void
+BM_DramChannelTick(benchmark::State &state)
+{
+    GpuConfig gpu = baselineGpuConfig();
+    if (state.range(1) != 0)
+        gpu = applyMemoryVariant(gpu, MemoryVariant::Modern);
+    DramConfig cfg = gpu.fabric.dram;
+    cfg.queueSize = static_cast<unsigned>(state.range(0));
+    Pcg32 rng(17);
+    std::vector<MemRequest> stream(1 << 12);
+    Addr addr = 0;
+    for (MemRequest &r : stream) {
+        if (rng.nextBelow(2) == 0)
+            addr += kSectorBytes;
+        else
+            addr = Addr(rng.nextBelow(1u << 20)) * kSectorBytes;
+        r.addr = addr;
+        r.write = rng.nextBelow(4) == 0;
+    }
+    StatGroup stats("dram");
+    DramChannel channel(cfg, false, &stats);
+    std::size_t next = 0;
+    Cycle now = 0;
+    for (auto _ : state) {
+        while (channel.canAccept()) {
+            channel.enqueue(stream[next]);
+            next = (next + 1) % stream.size();
+        }
+        channel.cycle(now++);
+        benchmark::DoNotOptimize(channel.completed().size());
+        channel.clearCompleted();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.SetLabel(std::string(state.range(1) != 0 ? "modern" : "baseline")
+                   + " timings, queue depth "
+                   + std::to_string(state.range(0)));
+}
+BENCHMARK(BM_DramChannelTick)
+    ->Args({4, 0})
+    ->Args({64, 0})
+    ->Args({4, 1})
+    ->Args({64, 1});
 
 /** Parallel reference renderer (tile fan-out) at 1/2/4/8 threads. */
 void

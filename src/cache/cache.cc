@@ -10,34 +10,6 @@ namespace vksim {
 
 namespace {
 
-/**
- * Per-origin counter names, built once: access() runs for every memory
- * request, so it must not concatenate strings to find its counters.
- */
-struct OriginStatNames
-{
-    explicit OriginStatNames(const std::string &origin)
-        : accesses("accesses." + origin), writes("writes." + origin),
-          hits("hits." + origin), writeMiss("write_miss." + origin),
-          missCompulsory("miss_compulsory." + origin),
-          missCapacityConflict("miss_capacity_conflict." + origin),
-          sectorMiss("sector_miss." + origin),
-          lineMiss("line_miss." + origin)
-    {
-    }
-
-    std::string accesses, writes, hits, writeMiss, missCompulsory,
-        missCapacityConflict, sectorMiss, lineMiss;
-};
-
-const OriginStatNames &
-statNames(AccessOrigin o)
-{
-    static const OriginStatNames names[] = {OriginStatNames("shader"),
-                                            OriginStatNames("rtunit")};
-    return names[static_cast<unsigned>(o)];
-}
-
 /** Home slot of a line tag in a 2^bits-slot index (Fibonacci hashing). */
 unsigned
 homeSlot(Addr tag, unsigned bits)
@@ -47,6 +19,15 @@ homeSlot(Addr tag, unsigned bits)
 }
 
 } // namespace
+
+AccessOrigin
+decodeOrigin(std::uint8_t byte)
+{
+    if (byte > static_cast<std::uint8_t>(AccessOrigin::RtUnit))
+        throw SimError("snapshot: access origin " + std::to_string(byte)
+                       + " is neither shader (0) nor RT unit (1)");
+    return static_cast<AccessOrigin>(byte);
+}
 
 Cache::Cache(const CacheConfig &config)
     : config_(config), stats_(config.name)
@@ -208,9 +189,9 @@ Cache::insert(unsigned set, Addr tag, std::uint32_t fill_bits, Cycle now)
     Line &victim = lines[way];
     if (victim.validMask != 0) {
         if (sectored_) {
-            stats_.counter("line_evictions").inc();
+            stats_.counter(slots_.lineEvictions).inc();
             if (victim.dirtyMask != 0 && victim.dirtyMask != fullMask_)
-                stats_.counter("evict_partial_dirty").inc();
+                stats_.counter(slots_.evictPartialDirty).inc();
         }
         unindex(set, way);
     }
@@ -228,7 +209,7 @@ Cache::access(Addr addr, bool write, AccessOrigin origin, std::uint64_t tag,
               Cycle now)
 {
     addr = sectorAlign(addr);
-    const OriginStatNames &names = statNames(origin);
+    OriginStats &origin_stats = originStats_[static_cast<unsigned>(origin)];
 
     const unsigned set = setIndex(addr);
     const Way way = lookup(set, addr / config_.lineBytes);
@@ -239,18 +220,18 @@ Cache::access(Addr addr, bool write, AccessOrigin origin, std::uint64_t tag,
         touch(set, way);
         if (write)
             line->dirtyMask |= sector_bit;
-        stats_.counter(names.accesses).inc();
+        stats_.counter(origin_stats.accesses).inc();
         if (write)
-            stats_.counter(names.writes).inc();
-        stats_.counter(names.hits).inc();
+            stats_.counter(origin_stats.writes).inc();
+        stats_.counter(origin_stats.hits).inc();
         return CacheOutcome::Hit;
     }
 
     if (write) {
         // Write-through, no-allocate: forwarded downstream by the caller.
-        stats_.counter(names.accesses).inc();
-        stats_.counter(names.writes).inc();
-        stats_.counter(names.writeMiss).inc();
+        stats_.counter(origin_stats.accesses).inc();
+        stats_.counter(origin_stats.writes).inc();
+        stats_.counter(origin_stats.writeMiss).inc();
         return CacheOutcome::MissNew;
     }
 
@@ -262,38 +243,38 @@ Cache::access(Addr addr, bool write, AccessOrigin origin, std::uint64_t tag,
     auto it = mshrs_.find(addr);
     if (it != mshrs_.end()
         && it->second.targets.size() >= config_.mshrTargets) {
-        stats_.counter("mshr_target_stalls").inc();
+        stats_.counter(slots_.mshrTargetStalls).inc();
         return CacheOutcome::Stall;
     }
     if (it == mshrs_.end() && mshrs_.size() >= config_.numMshrs) {
-        stats_.counter("mshr_full_stalls").inc();
+        stats_.counter(slots_.mshrFullStalls).inc();
         return CacheOutcome::Stall;
     }
 
-    stats_.counter(names.accesses).inc();
+    stats_.counter(origin_stats.accesses).inc();
     if (it != mshrs_.end()) {
         // Secondary miss folded into an in-flight fill. Counted only as
         // a merge: the sector was never resident, so classifying it as a
         // capacity/conflict miss (as the everSeen_ test would) skewed
         // the Fig. 14 miss-cause breakdown by the full merge count.
         it->second.targets.push_back(tag);
-        stats_.counter("mshr_merges").inc();
+        stats_.counter(slots_.mshrMerges).inc();
         return CacheOutcome::MissMerged;
     }
 
     bool compulsory = everSeen_.insert(addr).second;
     stats_
-        .counter(compulsory ? names.missCompulsory
-                            : names.missCapacityConflict)
+        .counter(compulsory ? origin_stats.missCompulsory
+                            : origin_stats.missCapacityConflict)
         .inc();
     if (sectored_) {
         // Sector/line split (only meaningful with multi-sector lines, so
         // the counters are not even created in the seed configuration):
         // every primary read miss is a sector miss; the subset with no
         // matching tag at all also missed the line.
-        stats_.counter(names.sectorMiss).inc();
+        stats_.counter(origin_stats.sectorMiss).inc();
         if (line == nullptr)
-            stats_.counter(names.lineMiss).inc();
+            stats_.counter(origin_stats.lineMiss).inc();
     }
     mshrs_[addr].targets.push_back(tag);
     return CacheOutcome::MissNew;
@@ -335,9 +316,9 @@ Cache::fill(Addr addr, Cycle now)
         if (allocate) {
             insert(set, tag, fill_bits, now);
             if (config_.streamingThreshold != 0)
-                stats_.counter("streaming_alloc_fills").inc();
+                stats_.counter(slots_.streamingAlloc).inc();
         } else {
-            stats_.counter("streaming_bypass_fills").inc();
+            stats_.counter(slots_.streamingBypass).inc();
         }
     }
 

@@ -42,6 +42,12 @@ enum class AccessOrigin : std::uint8_t
     RtUnit = 1  ///< BVH node fetches, stack spills, hit stores
 };
 
+/**
+ * Decode an AccessOrigin written to a snapshot as its byte value; throws
+ * SimError on a byte that names no origin.
+ */
+AccessOrigin decodeOrigin(std::uint8_t byte);
+
 /** Sector (request) size throughout the memory system. */
 inline constexpr Addr kSectorBytes = 32;
 
@@ -248,6 +254,23 @@ class Cache : public ClockedUnit
         std::vector<std::uint64_t> targets;
     };
 
+    /** Counters split by AccessOrigin ("accesses.shader", ...). */
+    struct OriginStats
+    {
+        explicit OriginStats(const std::string &origin)
+            : accesses("accesses." + origin), writes("writes." + origin),
+              hits("hits." + origin), writeMiss("write_miss." + origin),
+              missCompulsory("miss_compulsory." + origin),
+              missCapacityConflict("miss_capacity_conflict." + origin),
+              sectorMiss("sector_miss." + origin),
+              lineMiss("line_miss." + origin)
+        {
+        }
+
+        CounterSlot accesses, writes, hits, writeMiss, missCompulsory,
+            missCapacityConflict, sectorMiss, lineMiss;
+    };
+
     /** Way number within a set; kNoWay marks an empty index slot. */
     using Way = std::uint16_t;
     static constexpr Way kNoWay = 0xFFFF;
@@ -330,6 +353,20 @@ class Cache : public ClockedUnit
     std::unordered_map<Addr, Mshr> mshrs_;
     std::unordered_set<Addr> everSeen_; ///< for compulsory classification
     StatGroup stats_;
+    /** Indexed by AccessOrigin. */
+    OriginStats originStats_[2] = {OriginStats("shader"),
+                                   OriginStats("rtunit")};
+    /** Bound counters outside the per-origin split. */
+    struct Slots
+    {
+        CounterSlot lineEvictions{"line_evictions"};
+        CounterSlot evictPartialDirty{"evict_partial_dirty"};
+        CounterSlot mshrTargetStalls{"mshr_target_stalls"};
+        CounterSlot mshrFullStalls{"mshr_full_stalls"};
+        CounterSlot mshrMerges{"mshr_merges"};
+        CounterSlot streamingAlloc{"streaming_alloc_fills"};
+        CounterSlot streamingBypass{"streaming_bypass_fills"};
+    } slots_;
 };
 
 } // namespace vksim

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/log.h"
+#include "util/simerror.h"
 
 namespace vksim {
 
@@ -17,46 +18,43 @@ DramChannel::DramChannel(const DramConfig &config, bool perfect,
       stats_(stats)
 {
     banks_.resize(config_.banks);
-    if (config_.bankGroups > 0)
+    issue_.resize(config_.banks, 0);
+    if (config_.bankGroups > 0) {
         groupNextColumnAt_.resize(config_.bankGroups, 0);
+        // Row-interleaved consecutive banks land in different groups.
+        for (unsigned b = 0; b < config_.banks; ++b)
+            banks_[b].group = b % config_.bankGroups;
+    }
     if (config_.tRefi > 0)
         nextRefreshAt_ = config_.tRefi;
 }
 
-unsigned
-DramChannel::bankOf(Addr addr) const
+DramChannel::Queued
+DramChannel::decode(const MemRequest &req) const
 {
-    return static_cast<unsigned>((addr / config_.rowBytes) % config_.banks);
-}
-
-Addr
-DramChannel::rowOf(Addr addr) const
-{
-    return addr / (config_.rowBytes * config_.banks);
-}
-
-unsigned
-DramChannel::groupOf(unsigned bank) const
-{
-    // Row-interleaved consecutive banks land in different groups.
-    return bank % config_.bankGroups;
+    Queued q;
+    q.req = req;
+    q.bank = static_cast<unsigned>((req.addr / config_.rowBytes)
+                                   % config_.banks);
+    q.row = req.addr / (config_.rowBytes * config_.banks);
+    return q;
 }
 
 std::uint64_t
-DramChannel::earliestIssue(const MemRequest &r) const
+DramChannel::earliestIssue(const Queued &q) const
 {
     // Exact while the channel state is frozen (between real cycles):
     // every constraint below can only be *raised* by a real cycle, and
     // nextEventCycle() forces one at each constraint-changing tick
     // (issue, retirement, refresh). With the modern knobs off this is
     // exactly the seed readiness rule (bank.readyAt).
-    const Bank &bank = banks_[bankOf(r.addr)];
+    const Bank &bank = banks_[q.bank];
     std::uint64_t t = bank.readyAt;
     if (modernTimings_) {
         t = std::max(t, nextColumnAt_);
         if (!groupNextColumnAt_.empty())
-            t = std::max(t, groupNextColumnAt_[groupOf(bankOf(r.addr))]);
-        if (bank.openRow != rowOf(r.addr))
+            t = std::max(t, groupNextColumnAt_[bank.group]);
+        if (bank.openRow != q.row)
             t = std::max(t, nextActivateAt_);
     }
     return t;
@@ -75,7 +73,7 @@ DramChannel::processRefresh()
             b.openRow = ~Addr(0);
             b.readyAt = std::max(b.readyAt, nowDram_ + config_.tRfc);
         }
-        stats_->counter("refreshes").inc();
+        stats_->counter(slots_.refreshes).inc();
         nextRefreshAt_ += config_.tRefi;
     }
 }
@@ -84,14 +82,55 @@ void
 DramChannel::enqueue(const MemRequest &req)
 {
     vksim_assert(canAccept());
-    queue_.push_back(req);
+    queue_.push_back(decode(req));
+}
+
+bool
+DramChannel::sampleBanks()
+{
+    if (!queue_.empty() || !inflight_.empty())
+        stats_->counter(slots_.pending).inc();
+
+    // One pass over the banks: the bank-level parallelism sample (banks
+    // with work in flight) and each bank's issue flags. A bank can take
+    // a row hit when it is ready and both column windows (tCCDS, its
+    // group's tCCDL) are open, and a row miss when additionally the
+    // activate window (tRRD) is open: exactly earliestIssue() <= now,
+    // split by row-buffer outcome.
+    const bool column_open = !modernTimings_ || nextColumnAt_ <= nowDram_;
+    const bool activate_open =
+        !modernTimings_ || nextActivateAt_ <= nowDram_;
+    const std::uint8_t ready_flags =
+        activate_open ? kCanHit | kCanMiss : kCanHit;
+    unsigned busy_banks = 0;
+    bool any_ready = false;
+    for (std::size_t b = 0; b < banks_.size(); ++b) {
+        const Bank &bank = banks_[b];
+        std::uint8_t flags = 0;
+        if (bank.readyAt > nowDram_) {
+            ++busy_banks;
+        } else if (column_open
+                   && (groupNextColumnAt_.empty()
+                       || groupNextColumnAt_[bank.group] <= nowDram_)) {
+            flags = ready_flags;
+            any_ready = true;
+        }
+        issue_[b] = flags;
+    }
+    if (busy_banks > 0) {
+        stats_->counter(slots_.blpSamples).inc();
+        stats_->counter(slots_.blpSum).inc(busy_banks);
+    }
+    if (busFreeAt_ > nowDram_)
+        stats_->counter(slots_.busBusy).inc();
+    return any_ready;
 }
 
 void
 DramChannel::cycle(Cycle now)
 {
     ++nowDram_;
-    stats_->counter("cycles").inc();
+    stats_->counter(slots_.cycles).inc();
 
     if (config_.tRefi > 0)
         processRefresh();
@@ -108,105 +147,71 @@ DramChannel::cycle(Cycle now)
         }
     }
 
-    bool has_pending = !queue_.empty() || !inflight_.empty();
-    if (has_pending)
-        stats_->counter("cycles_with_pending").inc();
-
-    // Bank-level parallelism sample: banks with work in flight.
-    unsigned busy_banks = 0;
-    for (const Bank &b : banks_)
-        if (b.readyAt > nowDram_)
-            ++busy_banks;
-    if (busy_banks > 0) {
-        stats_->counter("blp_samples").inc();
-        stats_->counter("blp_sum").inc(busy_banks);
-    }
-    if (busFreeAt_ > nowDram_)
-        stats_->counter("data_bus_busy").inc();
-
+    const bool any_ready = sampleBanks();
     if (queue_.empty())
         return;
 
     if (perfect_) {
         // Zero-latency DRAM: service everything immediately.
         while (!queue_.empty()) {
-            if (!queue_.front().write)
-                completed_.push_back(queue_.front());
-            stats_->counter("requests").inc();
+            if (!queue_.front().req.write)
+                completed_.push_back(queue_.front().req);
+            stats_->counter(slots_.requests).inc();
             queue_.pop_front();
         }
         return;
     }
 
-    // Ready-bank pre-check: if even the least-busy bank cannot accept a
-    // column this tick (or the tCCDS window is still closed), the
-    // FR-FCFS scan below cannot pick anything — skip both O(queue)
-    // passes. O(banks) against a queue that is often 4x deeper.
-    {
-        std::uint64_t min_ready = ~std::uint64_t(0);
-        for (const Bank &b : banks_)
-            min_ready = std::min(min_ready, b.readyAt);
-        if (modernTimings_)
-            min_ready = std::max(min_ready, nextColumnAt_);
-        if (min_ready > nowDram_)
-            return;
-    }
+    // No bank can take a column command this tick: nothing can issue.
+    if (!any_ready)
+        return;
 
-    // FR-FCFS: prefer the oldest row hit on a ready bank, else the oldest
-    // request whose bank is ready (readiness folds in the bank-group
-    // column windows, tRRD and refresh holds via earliestIssue()).
-    auto ready = [&](const MemRequest &r) {
-        return earliestIssue(r) <= nowDram_;
-    };
-    auto row_hit = [&](const MemRequest &r) {
-        return banks_[bankOf(r.addr)].openRow == rowOf(r.addr);
-    };
-
+    // FR-FCFS in one pass: the oldest ready row hit, else the oldest
+    // ready request — the first ready request seen, since a ready hit
+    // ahead of it would have ended the scan.
     auto pick = queue_.end();
-    for (auto it = queue_.begin(); it != queue_.end(); ++it)
-        if (ready(*it) && row_hit(*it)) {
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+        const bool row_hit = banks_[it->bank].openRow == it->row;
+        if ((issue_[it->bank] & (row_hit ? kCanHit : kCanMiss)) == 0)
+            continue;
+        if (row_hit) {
             pick = it;
             break;
         }
-    if (pick == queue_.end())
-        for (auto it = queue_.begin(); it != queue_.end(); ++it)
-            if (ready(*it)) {
-                pick = it;
-                break;
-            }
+        if (pick == queue_.end())
+            pick = it;
+    }
     if (pick == queue_.end())
         return;
 
-    MemRequest req = *pick;
+    const Queued q = *pick;
     queue_.erase(pick);
-    unsigned bank_index = bankOf(req.addr);
-    Bank &bank = banks_[bank_index];
-    bool hit = bank.openRow == rowOf(req.addr);
+    Bank &bank = banks_[q.bank];
+    bool hit = bank.openRow == q.row;
     unsigned access_latency = config_.tCas;
     if (!hit) {
         access_latency += bank.openRow == ~Addr(0)
                               ? config_.tRcd
                               : config_.tRp + config_.tRcd;
-        bank.openRow = rowOf(req.addr);
-        stats_->counter("row_misses").inc();
+        bank.openRow = q.row;
+        stats_->counter(slots_.rowMisses).inc();
         if (config_.tRrd > 0)
             nextActivateAt_ = nowDram_ + config_.tRrd;
         if (timeline_)
             timeline_->instant("dram.ch" + std::to_string(channelId_)
-                                   + ".bank"
-                                   + std::to_string(bank_index),
+                                   + ".bank" + std::to_string(q.bank),
                                "row_activate", now);
     } else {
-        stats_->counter("row_hits").inc();
+        stats_->counter(slots_.rowHits).inc();
     }
-    stats_->counter("requests").inc();
+    stats_->counter(slots_.requests).inc();
 
     // Column-to-column windows: a short one against every group (tCCDS)
     // and a long one against this request's own group (tCCDL).
     if (config_.tCcdS > 0)
         nextColumnAt_ = nowDram_ + config_.tCcdS;
     if (!groupNextColumnAt_.empty())
-        groupNextColumnAt_[groupOf(bank_index)] = nowDram_ + config_.tCcdL;
+        groupNextColumnAt_[bank.group] = nowDram_ + config_.tCcdL;
 
     // Data transfer occupies the shared bus after the column access.
     std::uint64_t data_start =
@@ -214,31 +219,19 @@ DramChannel::cycle(Cycle now)
     std::uint64_t data_end = data_start + config_.burstCycles;
     busFreeAt_ = data_end;
     bank.readyAt = data_end;
-    inflight_.push_back({req, data_end});
+    inflight_.push_back({q.req, data_end});
 }
 
 void
 DramChannel::tickQuiescent()
 {
-    // Must mirror cycle()'s per-tick preamble exactly: same counters,
-    // same order. The retire loop and the FR-FCFS scan are omitted
-    // because the caller proved (nextEventCycle()) they would find
-    // nothing — on such a tick cycle() is this preamble and a scan
-    // that picks no request.
+    // Must mirror cycle()'s per-tick counters exactly. The retire loop
+    // and the FR-FCFS scan are omitted because the caller proved
+    // (nextEventCycle()) they would find nothing — on such a tick
+    // cycle() is this and a scan that picks no request.
     ++nowDram_;
-    stats_->counter("cycles").inc();
-    if (!queue_.empty() || !inflight_.empty())
-        stats_->counter("cycles_with_pending").inc();
-    unsigned busy_banks = 0;
-    for (const Bank &b : banks_)
-        if (b.readyAt > nowDram_)
-            ++busy_banks;
-    if (busy_banks > 0) {
-        stats_->counter("blp_samples").inc();
-        stats_->counter("blp_sum").inc(busy_banks);
-    }
-    if (busFreeAt_ > nowDram_)
-        stats_->counter("data_bus_busy").inc();
+    stats_->counter(slots_.cycles).inc();
+    sampleBanks();
 }
 
 Cycle
@@ -261,17 +254,17 @@ DramChannel::nextEventCycle() const
     // Soonest tick a queued request clears its bank, column-window and
     // activate constraints for FR-FCFS (exact between real cycles; see
     // earliestIssue()).
-    for (const MemRequest &r : queue_)
+    for (const Queued &q : queue_)
         next = std::min(next,
-                        std::max<Cycle>(earliestIssue(r), nowDram_ + 1));
+                        std::max<Cycle>(earliestIssue(q), nowDram_ + 1));
     return next;
 }
 
 bool
 DramChannel::hasRequest(Addr sector, bool write) const
 {
-    for (const MemRequest &r : queue_)
-        if (r.addr == sector && r.write == write)
+    for (const Queued &q : queue_)
+        if (q.req.addr == sector && q.req.write == write)
             return true;
     for (const Inflight &f : inflight_)
         if (f.req.addr == sector && f.req.write == write)
@@ -324,8 +317,8 @@ std::uint64_t
 DramChannel::stateDigest() const
 {
     check::Digest d;
-    for (const MemRequest &r : queue_)
-        mixRequest(d, r);
+    for (const Queued &q : queue_)
+        mixRequest(d, q.req);
     for (const Bank &b : banks_) {
         d.mix(b.openRow);
         d.mix(b.readyAt);
@@ -374,7 +367,7 @@ getRequest(serial::Reader &r)
     MemRequest req;
     req.addr = r.u64();
     req.write = r.b();
-    req.origin = static_cast<AccessOrigin>(r.u8());
+    req.origin = decodeOrigin(r.u8());
     req.smId = r.u32();
     req.tag = r.u64();
     return req;
@@ -386,8 +379,8 @@ void
 DramChannel::saveState(serial::Writer &w) const
 {
     w.u64(queue_.size());
-    for (const MemRequest &r : queue_)
-        putRequest(w, r);
+    for (const Queued &q : queue_)
+        putRequest(w, q.req);
     w.u64(banks_.size());
     for (const Bank &b : banks_) {
         w.u64(b.openRow);
@@ -414,12 +407,20 @@ DramChannel::saveState(serial::Writer &w) const
 void
 DramChannel::loadState(serial::Reader &r)
 {
+    auto reject = [](const std::string &why) {
+        throw SimError("DRAM channel snapshot: " + why);
+    };
     queue_.clear();
     std::uint64_t num_queued = r.u64();
+    if (num_queued > config_.queueSize)
+        reject(std::to_string(num_queued) + " queued requests, the queue "
+               "holds " + std::to_string(config_.queueSize));
     for (std::uint64_t i = 0; i < num_queued; ++i)
-        queue_.push_back(getRequest(r));
+        queue_.push_back(decode(getRequest(r)));
     std::uint64_t num_banks = r.u64();
-    vksim_assert(num_banks == banks_.size());
+    if (num_banks != banks_.size())
+        reject(std::to_string(num_banks) + " banks, the channel has "
+               + std::to_string(banks_.size()));
     for (Bank &b : banks_) {
         b.openRow = r.u64();
         b.readyAt = r.u64();
@@ -440,7 +441,9 @@ DramChannel::loadState(serial::Reader &r)
     busFreeAt_ = r.u64();
     nextColumnAt_ = r.u64();
     std::uint64_t num_groups = r.u64();
-    vksim_assert(num_groups == groupNextColumnAt_.size());
+    if (num_groups != groupNextColumnAt_.size())
+        reject(std::to_string(num_groups) + " bank groups, the channel has "
+               + std::to_string(groupNextColumnAt_.size()));
     for (std::uint64_t &g : groupNextColumnAt_)
         g = r.u64();
     nextActivateAt_ = r.u64();
@@ -789,8 +792,22 @@ MemFabric::saveState(serial::Writer &w) const
 void
 MemFabric::loadState(serial::Reader &r)
 {
+    auto reject = [](const std::string &why) {
+        throw SimError("memory fabric snapshot: " + why);
+    };
+    // Every request here can be answered through respond(), which
+    // indexes the per-SM response queues by smId.
+    auto request = [&] {
+        MemRequest req = getRequest(r);
+        if (req.smId >= responses_.size())
+            reject("request from SM " + std::to_string(req.smId)
+                   + ", the GPU has " + std::to_string(responses_.size()));
+        return req;
+    };
     std::uint64_t num_parts = r.u64();
-    vksim_assert(num_parts == partitions_.size());
+    if (num_parts != partitions_.size())
+        reject(std::to_string(num_parts) + " partitions, the fabric has "
+               + std::to_string(partitions_.size()));
     for (Partition &p : partitions_) {
         p.l2->loadState(r);
         p.dram->loadState(r);
@@ -798,27 +815,33 @@ MemFabric::loadState(serial::Reader &r)
         std::uint64_t num_inbound = r.u64();
         for (std::uint64_t i = 0; i < num_inbound; ++i) {
             Cycle ready = r.u64();
-            p.inbound.emplace_back(ready, getRequest(r));
+            p.inbound.emplace_back(ready, request());
         }
         p.pendingMiss.clear();
         std::uint64_t num_pending = r.u64();
         for (std::uint64_t i = 0; i < num_pending; ++i) {
             std::uint64_t cookie = r.u64();
-            p.pendingMiss.emplace(cookie, getRequest(r));
+            p.pendingMiss.emplace(cookie, request());
         }
         p.nextCookie = r.u64();
     }
     std::uint64_t num_sms = r.u64();
-    vksim_assert(num_sms == responses_.size());
+    if (num_sms != responses_.size())
+        reject(std::to_string(num_sms) + " SM response queues, the GPU has "
+               + std::to_string(responses_.size()));
     for (unsigned sm = 0; sm < responses_.size(); ++sm) {
         auto &q = responses_[sm];
         q.clear();
         std::uint64_t num_resp = r.u64();
         for (std::uint64_t i = 0; i < num_resp; ++i) {
             Cycle ready = r.u64();
-            q.emplace_back(ready, getRequest(r));
+            q.emplace_back(ready, request());
         }
         respCursor_[sm] = r.u64();
+        if (respCursor_[sm] > q.size())
+            reject("SM " + std::to_string(sm) + " response cursor "
+                   + std::to_string(respCursor_[sm]) + " is past its "
+                   + std::to_string(q.size()) + " responses");
     }
     dramClock_.restoreAccumBits(r.u64());
     dramStats_.loadState(r);

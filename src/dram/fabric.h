@@ -184,6 +184,15 @@ class DramChannel : public ClockedUnit
     {
         Addr openRow = ~Addr(0);
         std::uint64_t readyAt = 0;
+        unsigned group = 0; ///< bank group (fixed by the geometry)
+    };
+
+    /** A queued request with its bank and row decoded once, on entry. */
+    struct Queued
+    {
+        MemRequest req;
+        unsigned bank;
+        Addr row;
     };
 
     struct Inflight
@@ -192,21 +201,33 @@ class DramChannel : public ClockedUnit
         std::uint64_t doneAt;
     };
 
-    unsigned bankOf(Addr addr) const;
-    Addr rowOf(Addr addr) const;
-    unsigned groupOf(unsigned bank) const;
-    /** Earliest tick request `r` could issue, given current bank, CCD,
+    /** Per-bank scheduler flags, valid for the current tick. */
+    enum IssueFlag : std::uint8_t
+    {
+        kCanHit = 1,  ///< a row hit on this bank may issue now
+        kCanMiss = 2  ///< a row miss (activate) on this bank may issue now
+    };
+
+    Queued decode(const MemRequest &req) const;
+    /** Earliest tick request `q` could issue, given current bank, CCD,
      *  RRD and row state (exact while the channel state is frozen). */
-    std::uint64_t earliestIssue(const MemRequest &r) const;
+    std::uint64_t earliestIssue(const Queued &q) const;
     void processRefresh();
+    /**
+     * The per-tick bank pass shared by cycle() and tickQuiescent():
+     * counts the pending / bank-parallelism / data-bus samples and sets
+     * issue_. Returns true when some bank can take a column command.
+     */
+    bool sampleBanks();
 
     DramConfig config_;
     bool perfect_;
     /** Any bank-group / activate / refresh constraint enabled. */
     bool modernTimings_;
     StatGroup *stats_;
-    std::deque<MemRequest> queue_;
+    std::deque<Queued> queue_;
     std::vector<Bank> banks_;
+    std::vector<std::uint8_t> issue_; ///< IssueFlag bits per bank
     std::vector<Inflight> inflight_;
     std::vector<MemRequest> completed_;
     std::uint64_t nowDram_ = 0;
@@ -220,6 +241,20 @@ class DramChannel : public ClockedUnit
     std::uint64_t nextRefreshAt_ = 0;  ///< next tREFI boundary (0 = off)
     TimelineShard *timeline_ = nullptr;
     unsigned channelId_ = 0;
+
+    /** The channel's counters in the shared DRAM group, bound once. */
+    struct Slots
+    {
+        CounterSlot cycles{"cycles"};
+        CounterSlot pending{"cycles_with_pending"};
+        CounterSlot blpSamples{"blp_samples"};
+        CounterSlot blpSum{"blp_sum"};
+        CounterSlot busBusy{"data_bus_busy"};
+        CounterSlot requests{"requests"};
+        CounterSlot rowHits{"row_hits"};
+        CounterSlot rowMisses{"row_misses"};
+        CounterSlot refreshes{"refreshes"};
+    } slots_;
 };
 
 /**

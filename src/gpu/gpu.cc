@@ -307,8 +307,8 @@ SmCore::catchUpIdleCycles(Cycle from, Cycle to)
     // heartbeat, the empty-issue counter, and any due timeline counter
     // samples (whose values are frozen while asleep).
     const Cycle n = to - from;
-    rtStats_.counter("unit_cycles").inc(n);
-    stats_.counter("idle_issue_cycles").inc(n);
+    rtStats_.counter(slots_.unitCycles).inc(n);
+    stats_.counter(slots_.idleIssueCycles).inc(n);
     if (timeline_ && timeline_->sampleInterval() != 0) {
         const Cycle interval = timeline_->sampleInterval();
         for (Cycle t = ((from + interval - 1) / interval) * interval;
@@ -441,7 +441,7 @@ SmCore::handleMemInstr(unsigned slot, const vptx::StepResult &res,
                 vec.push_back(s);
         }
     }
-    stats_.counter("ldst_sectors").inc(load_sectors.size()
+    stats_.counter(slots_.ldstSectors).inc(load_sectors.size()
                                        + store_sectors.size());
 
     if (!load_sectors.empty()) {
@@ -489,7 +489,7 @@ SmCore::issueFromWarp(unsigned slot, Cycle now)
     for (int reg : {static_cast<int>(uop.dst), static_cast<int>(uop.src0),
                     static_cast<int>(uop.src1), static_cast<int>(uop.src2)})
         if (reg >= 0 && ws.pendingRegs.count(reg)) {
-            stats_.counter("stall_scoreboard").inc();
+            stats_.counter(slots_.stallScoreboard).inc();
             return false;
         }
 
@@ -498,19 +498,19 @@ SmCore::issueFromWarp(unsigned slot, Cycle now)
     switch (unit) {
       case vptx::ExecUnit::LDST:
         if (l1Queue_.size() >= config_.ldstQueueSize) {
-            stats_.counter("stall_ldst_queue").inc();
+            stats_.counter(slots_.stallLdstQueue).inc();
             return false;
         }
         break;
       case vptx::ExecUnit::SFU:
         if (sfuReadyAt_ > now) {
-            stats_.counter("stall_sfu").inc();
+            stats_.counter(slots_.stallSfu).inc();
             return false;
         }
         break;
       case vptx::ExecUnit::RT:
         if (!rtUnit_.canAccept()) {
-            stats_.counter("stall_rt_full").inc();
+            stats_.counter(slots_.stallRtFull).inc();
             return false;
         }
         break;
@@ -520,14 +520,24 @@ SmCore::issueFromWarp(unsigned slot, Cycle now)
 
     // Functional execution at issue (re-using the fetched micro-op).
     vptx::StepResult res = executor_.step(warp, split_idx, uop);
-    stats_.counter("issued").inc();
-    stats_.counter("issue_active_lanes").inc(res.activeLanes);
+    stats_.counter(slots_.issued).inc();
+    stats_.counter(slots_.issueActiveLanes).inc(res.activeLanes);
     switch (res.unit) {
-      case vptx::ExecUnit::ALU: stats_.counter("issue_alu").inc(); break;
-      case vptx::ExecUnit::SFU: stats_.counter("issue_sfu").inc(); break;
-      case vptx::ExecUnit::LDST: stats_.counter("issue_ldst").inc(); break;
-      case vptx::ExecUnit::RT: stats_.counter("issue_rt").inc(); break;
-      case vptx::ExecUnit::CTRL: stats_.counter("issue_ctrl").inc(); break;
+      case vptx::ExecUnit::ALU:
+        stats_.counter(slots_.issueAlu).inc();
+        break;
+      case vptx::ExecUnit::SFU:
+        stats_.counter(slots_.issueSfu).inc();
+        break;
+      case vptx::ExecUnit::LDST:
+        stats_.counter(slots_.issueLdst).inc();
+        break;
+      case vptx::ExecUnit::RT:
+        stats_.counter(slots_.issueRt).inc();
+        break;
+      case vptx::ExecUnit::CTRL:
+        stats_.counter(slots_.issueCtrl).inc();
+        break;
     }
 
     switch (res.unit) {
@@ -713,7 +723,7 @@ SmCore::cycle(Cycle now)
     retireWritebacks(now);
 
     rtUnit_.cycle(now);
-    rtStats_.counter("unit_cycles").inc();
+    rtStats_.counter(slots_.unitCycles).inc();
     for (const RtUnit::Completion &done : rtUnit_.drainCompletions())
         executor_.completeTraverse(*done.warp, done.splitId);
 
@@ -722,7 +732,7 @@ SmCore::cycle(Cycle now)
         if (!tryIssue(now, issued_slots))
             break;
     if (issued_slots.empty())
-        stats_.counter("idle_issue_cycles").inc();
+        stats_.counter(slots_.idleIssueCycles).inc();
 
     pumpL1(now);
 
@@ -1130,7 +1140,7 @@ SmCore::loadState(serial::Reader &r)
         L1Req q;
         q.sector = r.u64();
         q.write = r.b();
-        q.origin = static_cast<AccessOrigin>(r.u8());
+        q.origin = decodeOrigin(r.u8());
         q.tag = r.u64();
         l1Queue_.push_back(q);
     }

@@ -435,6 +435,25 @@ class SmCore : public RtMemPort, public ClockedUnit
     StatGroup stats_;
     StatGroup rtStats_{"rt"};  ///< per-SM so parallel cycling is race-free
     Histogram rtLatency_{kRtLatencyBucketWidth, kRtLatencyBuckets};
+    /** Bound counters for the per-cycle and per-issue statistics
+     *  (`unitCycles` lives in rtStats_, the rest in stats_). */
+    struct Slots
+    {
+        CounterSlot unitCycles{"unit_cycles"};
+        CounterSlot idleIssueCycles{"idle_issue_cycles"};
+        CounterSlot ldstSectors{"ldst_sectors"};
+        CounterSlot stallScoreboard{"stall_scoreboard"};
+        CounterSlot stallLdstQueue{"stall_ldst_queue"};
+        CounterSlot stallSfu{"stall_sfu"};
+        CounterSlot stallRtFull{"stall_rt_full"};
+        CounterSlot issued{"issued"};
+        CounterSlot issueActiveLanes{"issue_active_lanes"};
+        CounterSlot issueAlu{"issue_alu"};
+        CounterSlot issueSfu{"issue_sfu"};
+        CounterSlot issueLdst{"issue_ldst"};
+        CounterSlot issueRt{"issue_rt"};
+        CounterSlot issueCtrl{"issue_ctrl"};
+    } slots_;
 
     Cache l1_;
     std::unique_ptr<Cache> rtCache_;

@@ -19,7 +19,7 @@ RtUnit::LaneSink::stackSpill(unsigned bytes, bool is_write)
         Addr base = entry.state->frameBase(lane);
         unit->queueWrite(base + vptx::kRtFrameBytes - kSectorBytes);
     }
-    unit->stats_->counter("stack_spills").inc();
+    unit->stats_->counter(unit->slots_.stackSpills).inc();
 }
 
 void
@@ -31,7 +31,7 @@ RtUnit::LaneSink::intersectionWrite(unsigned bytes)
         base, static_cast<unsigned>(entry.deferredWrites % vptx::kMaxDeferred));
     ++entry.deferredWrites;
     unit->queueWrite(addr);
-    unit->stats_->counter("deferred_writes").inc();
+    unit->stats_->counter(unit->slots_.deferredWrites).inc();
 }
 
 RtUnit::RtUnit(const RtUnitConfig &config, const vptx::LaunchContext *ctx,
@@ -93,7 +93,7 @@ RtUnit::submit(vptx::Warp *warp, int split_id, Cycle now)
         ++entry.lanesLive;
     }
     ++liveEntries_;
-    stats_->counter("warps_submitted").inc();
+    stats_->counter(slots_.warpsSubmitted).inc();
     stats_->accum("rays_per_warp").sample(entry.lanesLive);
     if (entry.lanesLive == 0)
         startWriteback(entry, slot, now);
@@ -190,7 +190,7 @@ RtUnit::memSchedule(Cycle now)
             if (!find_queued(sectorAlign(addr) + c * kSectorBytes))
                 ++new_entries;
         if (memQueue_.size() + new_entries > config_.memQueueSize) {
-            stats_->counter("mem_queue_full_stalls").inc();
+            stats_->counter(slots_.memQueueFullStalls).inc();
             break; // queue full: this lane and the rest stay Ready
         }
 
@@ -200,13 +200,13 @@ RtUnit::memSchedule(Cycle now)
             Addr sector = sectorAlign(addr) + c * kSectorBytes;
             if (MemQueueEntry *q = find_queued(sector)) {
                 q->targets.emplace_back(slot, lane);
-                stats_->counter("mem_merged").inc();
+                stats_->counter(slots_.memMerged).inc();
             } else {
                 MemQueueEntry q2;
                 q2.sector = sector;
                 q2.targets.emplace_back(slot, lane);
                 memQueue_.push_back(std::move(q2));
-                stats_->counter("mem_requests").inc();
+                stats_->counter(slots_.memRequests).inc();
             }
             ++ls.chunksOutstanding;
         }
@@ -264,16 +264,16 @@ RtUnit::opSchedule(Cycle now)
         ls.opDoneAt = now + latencyOf(ls.nodeType);
         switch (ls.nodeType) {
           case NodeType::Internal:
-            stats_->counter("ops_box").inc();
+            stats_->counter(slots_.opsBox).inc();
             break;
           case NodeType::TriangleLeaf:
-            stats_->counter("ops_triangle").inc();
+            stats_->counter(slots_.opsTriangle).inc();
             break;
           case NodeType::TopLeaf:
-            stats_->counter("ops_transform").inc();
+            stats_->counter(slots_.opsTransform).inc();
             break;
           default:
-            stats_->counter("ops_other").inc();
+            stats_->counter(slots_.opsOther).inc();
             break;
         }
     }
@@ -299,10 +299,10 @@ RtUnit::finishOps(Cycle now)
                     queueWrite(entry.state->frameBase(lane)
                                + vptx::frame::kHitT);
                     ++anyhitCommitted_;
-                    stats_->counter("anyhit_committed").inc();
+                    stats_->counter(slots_.anyhitCommitted).inc();
                 } else {
                     ++anyhitIgnored_;
-                    stats_->counter("anyhit_ignored").inc();
+                    stats_->counter(slots_.anyhitIgnored).inc();
                 }
                 if (trav->done()) {
                     ls.status = LaneStatus::Done;
@@ -328,8 +328,9 @@ RtUnit::finishOps(Cycle now)
                 ls.opDoneAt = now + config_.anyHitBaseLatency
                               + config_.anyHitPerInstr * run.instructions;
                 ++anyhitSuspended_;
-                stats_->counter("anyhit_suspended").inc();
-                stats_->counter("anyhit_instructions").inc(run.instructions);
+                stats_->counter(slots_.anyhitSuspended).inc();
+                stats_->counter(slots_.anyhitInstructions)
+                    .inc(run.instructions);
                 continue;
             }
             if (trav->done()) {
@@ -370,8 +371,8 @@ RtUnit::startWriteback(WarpEntry &entry, unsigned slot, Cycle now)
             entry.writebackQueue.push_back(
                 fcc_base
                 + (i % vptx::kMaxFccRows) * vptx::kFccRowBytes);
-        stats_->counter("fcc_insert_loads").inc(cost.loads);
-        stats_->counter("fcc_insert_stores").inc(cost.stores);
+        stats_->counter(slots_.fccInsertLoads).inc(cost.loads);
+        stats_->counter(slots_.fccInsertStores).inc(cost.stores);
     }
 }
 
@@ -392,7 +393,7 @@ RtUnit::pumpWriteback(Cycle now)
         if (entry.writebackQueue.empty()) {
             // Done: hand back to the SM.
             completions_.push_back({entry.warp, entry.splitId});
-            stats_->counter("warps_completed").inc();
+            stats_->counter(slots_.warpsCompleted).inc();
             stats_->accum("warp_latency").sample(
                 static_cast<double>(now - entry.submitTime));
             if (latencyHist_)
@@ -414,10 +415,10 @@ void
 RtUnit::cycle(Cycle now)
 {
     if (liveEntries_ > 0) {
-        stats_->counter("busy_cycles").inc();
-        stats_->counter("active_ray_cycles").inc(activeRays());
-        stats_->counter("slot_ray_cycles").inc(liveEntries_ * kWarpSize);
-        stats_->counter("occupied_warp_cycles").inc(liveEntries_);
+        stats_->counter(slots_.busyCycles).inc();
+        stats_->counter(slots_.activeRayCycles).inc(activeRays());
+        stats_->counter(slots_.slotRayCycles).inc(liveEntries_ * kWarpSize);
+        stats_->counter(slots_.occupiedWarpCycles).inc(liveEntries_);
     }
 
     finishOps(now);

@@ -256,6 +256,32 @@ class RtUnit : public ClockedUnit
     std::uint64_t anyhitSuspended_ = 0;
     std::uint64_t anyhitCommitted_ = 0;
     std::uint64_t anyhitIgnored_ = 0;
+
+    /** Bound counters for the per-cycle and per-ray statistics. */
+    struct Slots
+    {
+        CounterSlot stackSpills{"stack_spills"};
+        CounterSlot deferredWrites{"deferred_writes"};
+        CounterSlot warpsSubmitted{"warps_submitted"};
+        CounterSlot memQueueFullStalls{"mem_queue_full_stalls"};
+        CounterSlot memMerged{"mem_merged"};
+        CounterSlot memRequests{"mem_requests"};
+        CounterSlot opsBox{"ops_box"};
+        CounterSlot opsTriangle{"ops_triangle"};
+        CounterSlot opsTransform{"ops_transform"};
+        CounterSlot opsOther{"ops_other"};
+        CounterSlot anyhitCommitted{"anyhit_committed"};
+        CounterSlot anyhitIgnored{"anyhit_ignored"};
+        CounterSlot anyhitSuspended{"anyhit_suspended"};
+        CounterSlot anyhitInstructions{"anyhit_instructions"};
+        CounterSlot fccInsertLoads{"fcc_insert_loads"};
+        CounterSlot fccInsertStores{"fcc_insert_stores"};
+        CounterSlot warpsCompleted{"warps_completed"};
+        CounterSlot busyCycles{"busy_cycles"};
+        CounterSlot activeRayCycles{"active_ray_cycles"};
+        CounterSlot slotRayCycles{"slot_ray_cycles"};
+        CounterSlot occupiedWarpCycles{"occupied_warp_cycles"};
+    } slots_;
 };
 
 } // namespace vksim

@@ -10,6 +10,7 @@
 #ifndef VKSIM_UTIL_STATS_H
 #define VKSIM_UTIL_STATS_H
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -208,6 +209,26 @@ class Histogram
 };
 
 /**
+ * A counter name plus a cached binding to that counter in one group, for
+ * call sites that bump the same counter every cycle or access: after the
+ * first StatGroup::counter(slot) the lookup is a pointer load instead of
+ * a string-keyed map search. The counter is still created lazily on that
+ * first call, exactly as counter(name) would create it.
+ */
+class CounterSlot
+{
+  public:
+    explicit CounterSlot(std::string name) : name_(std::move(name)) {}
+
+  private:
+    friend class StatGroup;
+
+    std::string name_;
+    Counter *counter_ = nullptr;
+    std::uint64_t boundTo_ = 0; ///< StatGroup identity (0 = unbound)
+};
+
+/**
  * A named bag of statistics. Components create their counters through a
  * group so reports can enumerate everything hierarchically by name.
  */
@@ -216,8 +237,65 @@ class StatGroup
   public:
     explicit StatGroup(std::string name = "") : name_(std::move(name)) {}
 
+    /*
+     * A copy or move gives the target a fresh identity, and a move gives
+     * the source one too (its counters now live in the target), so no
+     * CounterSlot bound before the operation can reach a counter the
+     * group no longer owns.
+     */
+    StatGroup(const StatGroup &other)
+        : name_(other.name_), counters_(other.counters_),
+          accums_(other.accums_)
+    {
+    }
+
+    StatGroup(StatGroup &&other) noexcept
+        : name_(std::move(other.name_)),
+          counters_(std::move(other.counters_)),
+          accums_(std::move(other.accums_))
+    {
+        other.id_ = freshId();
+    }
+
+    StatGroup &
+    operator=(const StatGroup &other)
+    {
+        name_ = other.name_;
+        counters_ = other.counters_;
+        accums_ = other.accums_;
+        id_ = freshId();
+        return *this;
+    }
+
+    StatGroup &
+    operator=(StatGroup &&other) noexcept
+    {
+        name_ = std::move(other.name_);
+        counters_ = std::move(other.counters_);
+        accums_ = std::move(other.accums_);
+        id_ = freshId();
+        other.id_ = freshId();
+        return *this;
+    }
+
     /** Get-or-create a counter with the given name. */
     Counter &counter(const std::string &name) { return counters_[name]; }
+
+    /**
+     * Get-or-create the slot's counter. The map lookup runs only when
+     * the slot is unbound or was last bound to a different group
+     * identity — another group, or this one before a copy, move or
+     * loadState() replaced its counters. reset() keeps every binding.
+     */
+    Counter &
+    counter(CounterSlot &slot)
+    {
+        if (slot.boundTo_ != id_) {
+            slot.counter_ = &counters_[slot.name_];
+            slot.boundTo_ = id_;
+        }
+        return *slot.counter_;
+    }
 
     /** Get-or-create an accumulator with the given name. */
     Accumulator &accum(const std::string &name) { return accums_[name]; }
@@ -269,6 +347,7 @@ class StatGroup
     void
     loadState(serial::Reader &r)
     {
+        id_ = freshId();
         counters_.clear();
         accums_.clear();
         std::uint64_t nc = r.u64();
@@ -284,9 +363,22 @@ class StatGroup
     }
 
   private:
+    /**
+     * Identities come from one process-wide sequence, never from the
+     * group's address: a group built where a destroyed one lived must
+     * not match a slot still bound to the old group.
+     */
+    static std::uint64_t
+    freshId()
+    {
+        static std::atomic<std::uint64_t> next{1};
+        return next.fetch_add(1);
+    }
+
     std::string name_;
     std::map<std::string, Counter> counters_;
     std::map<std::string, Accumulator> accums_;
+    std::uint64_t id_ = freshId();
 };
 
 } // namespace vksim

@@ -1,15 +1,20 @@
 /**
  * @file
  * Tests for the memory fabric: request routing, L2 behaviour, DRAM
- * row-buffer locality, FR-FCFS preference, bandwidth accounting, and the
- * perfect-memory variant.
+ * row-buffer locality, FR-FCFS preference, bandwidth accounting, the
+ * perfect-memory variant, the decoded FR-FCFS scan against a two-pass
+ * reference scheduler, and the snapshot decoder's rejection of
+ * malformed bytes.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
+#include "core/vulkansim.h"
 #include "dram/fabric.h"
+#include "util/rng.h"
 
 namespace vksim {
 namespace {
@@ -584,6 +589,583 @@ TEST(FabricTest, MshrMergeAtL2ReturnsAllTags)
     EXPECT_EQ(got, 3u);
     // Only one DRAM request despite three requesters.
     EXPECT_EQ(fabric.dramStats().get("requests"), 1u);
+}
+
+// --- Decoded FR-FCFS vs the two-pass reference scheduler -------------------
+
+/**
+ * Reference DRAM channel for the differential test: the scheduler as it
+ * was before queued requests carried their decoded bank and row. Every
+ * readiness check re-derives bank and row from the address
+ * (earliestIssue), and FR-FCFS is two scans of the queue: the first
+ * ready row hit, else the first ready request. Counters, digest and
+ * snapshot layout mirror DramChannel's so the two compare byte for byte.
+ */
+class TwoPassChannel
+{
+  public:
+    TwoPassChannel(const DramConfig &config, StatGroup *stats)
+        : config_(config),
+          modern_(config.bankGroups > 0 || config.tCcdL > 0
+                  || config.tCcdS > 0 || config.tRrd > 0
+                  || config.tRefi > 0),
+          stats_(stats), banks_(config.banks),
+          groupNextColumnAt_(config.bankGroups, 0),
+          nextRefreshAt_(config.tRefi)
+    {
+    }
+
+    bool canAccept() const { return queue_.size() < config_.queueSize; }
+    void enqueue(const MemRequest &req) { queue_.push_back(req); }
+    const std::vector<MemRequest> &completed() const { return completed_; }
+    void clearCompleted() { completed_.clear(); }
+
+    void
+    cycle()
+    {
+        ++now_;
+        stats_->counter("cycles").inc();
+        while (nextRefreshAt_ != 0 && now_ >= nextRefreshAt_) {
+            for (Bank &b : banks_) {
+                b.openRow = ~Addr(0);
+                b.readyAt = std::max(b.readyAt, now_ + config_.tRfc);
+            }
+            stats_->counter("refreshes").inc();
+            nextRefreshAt_ += config_.tRefi;
+        }
+        for (std::size_t i = 0; i < inflight_.size();) {
+            if (inflight_[i].doneAt <= now_) {
+                if (!inflight_[i].req.write)
+                    completed_.push_back(inflight_[i].req);
+                inflight_[i] = inflight_.back();
+                inflight_.pop_back();
+            } else {
+                ++i;
+            }
+        }
+        if (!queue_.empty() || !inflight_.empty())
+            stats_->counter("cycles_with_pending").inc();
+        unsigned busy_banks = 0;
+        for (const Bank &b : banks_)
+            if (b.readyAt > now_)
+                ++busy_banks;
+        if (busy_banks > 0) {
+            stats_->counter("blp_samples").inc();
+            stats_->counter("blp_sum").inc(busy_banks);
+        }
+        if (busFreeAt_ > now_)
+            stats_->counter("data_bus_busy").inc();
+
+        auto ready = [&](const MemRequest &r) {
+            return earliestIssue(r) <= now_;
+        };
+        auto row_hit = [&](const MemRequest &r) {
+            return banks_[bankOf(r.addr)].openRow == rowOf(r.addr);
+        };
+        auto pick = queue_.end();
+        for (auto it = queue_.begin(); it != queue_.end(); ++it)
+            if (ready(*it) && row_hit(*it)) {
+                pick = it;
+                break;
+            }
+        if (pick == queue_.end())
+            for (auto it = queue_.begin(); it != queue_.end(); ++it)
+                if (ready(*it)) {
+                    pick = it;
+                    break;
+                }
+        if (pick == queue_.end())
+            return;
+
+        MemRequest req = *pick;
+        queue_.erase(pick);
+        unsigned bank_index = bankOf(req.addr);
+        Bank &bank = banks_[bank_index];
+        unsigned latency = config_.tCas;
+        if (bank.openRow != rowOf(req.addr)) {
+            latency += bank.openRow == ~Addr(0) ? config_.tRcd
+                                                : config_.tRp + config_.tRcd;
+            bank.openRow = rowOf(req.addr);
+            stats_->counter("row_misses").inc();
+            if (config_.tRrd > 0)
+                nextActivateAt_ = now_ + config_.tRrd;
+        } else {
+            stats_->counter("row_hits").inc();
+        }
+        stats_->counter("requests").inc();
+        if (config_.tCcdS > 0)
+            nextColumnAt_ = now_ + config_.tCcdS;
+        if (!groupNextColumnAt_.empty())
+            groupNextColumnAt_[bank_index % config_.bankGroups] =
+                now_ + config_.tCcdL;
+        std::uint64_t data_end =
+            std::max(now_ + latency, busFreeAt_) + config_.burstCycles;
+        busFreeAt_ = data_end;
+        bank.readyAt = data_end;
+        inflight_.push_back({req, data_end});
+    }
+
+    Cycle
+    nextEventCycle() const
+    {
+        Cycle next = kNoPendingEvent;
+        if (nextRefreshAt_ != 0)
+            next = std::min(next, std::max<Cycle>(nextRefreshAt_, now_ + 1));
+        for (const Inflight &f : inflight_)
+            next = std::min(next, std::max<Cycle>(f.doneAt, now_ + 1));
+        for (const MemRequest &r : queue_)
+            next = std::min(next,
+                            std::max<Cycle>(earliestIssue(r), now_ + 1));
+        return next;
+    }
+
+    std::uint64_t
+    stateDigest() const
+    {
+        check::Digest d;
+        for (const MemRequest &r : queue_)
+            mix(d, r);
+        for (const Bank &b : banks_) {
+            d.mix(b.openRow);
+            d.mix(b.readyAt);
+        }
+        std::uint64_t fold = 0;
+        for (const Inflight &f : inflight_) {
+            check::Digest e;
+            mix(e, f.req);
+            e.mix(f.doneAt);
+            fold ^= e.value();
+        }
+        d.mix(fold);
+        d.mix(inflight_.size());
+        d.mix(now_);
+        d.mix(busFreeAt_);
+        if (modern_) {
+            d.mix(nextColumnAt_);
+            for (std::uint64_t g : groupNextColumnAt_)
+                d.mix(g);
+            d.mix(nextActivateAt_);
+            d.mix(nextRefreshAt_);
+        }
+        return d.value();
+    }
+
+    void
+    saveState(serial::Writer &w) const
+    {
+        w.u64(queue_.size());
+        for (const MemRequest &r : queue_)
+            put(w, r);
+        w.u64(banks_.size());
+        for (const Bank &b : banks_) {
+            w.u64(b.openRow);
+            w.u64(b.readyAt);
+        }
+        w.u64(inflight_.size());
+        for (const Inflight &f : inflight_) {
+            put(w, f.req);
+            w.u64(f.doneAt);
+        }
+        w.u64(completed_.size());
+        for (const MemRequest &r : completed_)
+            put(w, r);
+        w.u64(now_);
+        w.u64(busFreeAt_);
+        w.u64(nextColumnAt_);
+        w.u64(groupNextColumnAt_.size());
+        for (std::uint64_t g : groupNextColumnAt_)
+            w.u64(g);
+        w.u64(nextActivateAt_);
+        w.u64(nextRefreshAt_);
+    }
+
+  private:
+    struct Bank
+    {
+        Addr openRow = ~Addr(0);
+        std::uint64_t readyAt = 0;
+    };
+
+    struct Inflight
+    {
+        MemRequest req;
+        std::uint64_t doneAt;
+    };
+
+    static void
+    mix(check::Digest &d, const MemRequest &r)
+    {
+        d.mix(r.addr);
+        d.mix(r.write);
+        d.mix(static_cast<std::uint64_t>(r.origin));
+        d.mix(r.smId);
+        d.mix(r.tag);
+    }
+
+    static void
+    put(serial::Writer &w, const MemRequest &r)
+    {
+        w.u64(r.addr);
+        w.b(r.write);
+        w.u8(static_cast<std::uint8_t>(r.origin));
+        w.u32(r.smId);
+        w.u64(r.tag);
+    }
+
+    unsigned
+    bankOf(Addr addr) const
+    {
+        return static_cast<unsigned>((addr / config_.rowBytes)
+                                     % config_.banks);
+    }
+
+    Addr
+    rowOf(Addr addr) const
+    {
+        return addr / (config_.rowBytes * config_.banks);
+    }
+
+    std::uint64_t
+    earliestIssue(const MemRequest &r) const
+    {
+        const Bank &bank = banks_[bankOf(r.addr)];
+        std::uint64_t t = bank.readyAt;
+        if (modern_) {
+            t = std::max(t, nextColumnAt_);
+            if (!groupNextColumnAt_.empty())
+                t = std::max(t, groupNextColumnAt_[bankOf(r.addr)
+                                                   % config_.bankGroups]);
+            if (bank.openRow != rowOf(r.addr))
+                t = std::max(t, nextActivateAt_);
+        }
+        return t;
+    }
+
+    DramConfig config_;
+    bool modern_;
+    StatGroup *stats_;
+    std::deque<MemRequest> queue_;
+    std::vector<Bank> banks_;
+    std::vector<Inflight> inflight_;
+    std::vector<MemRequest> completed_;
+    std::uint64_t now_ = 0;
+    std::uint64_t busFreeAt_ = 0;
+    std::uint64_t nextColumnAt_ = 0;
+    std::vector<std::uint64_t> groupNextColumnAt_;
+    std::uint64_t nextActivateAt_ = 0;
+    std::uint64_t nextRefreshAt_ = 0;
+};
+
+std::vector<std::uint8_t>
+snapshotOf(const DramChannel &ch)
+{
+    serial::Writer w;
+    ch.saveState(w);
+    return w.take();
+}
+
+std::vector<std::uint8_t>
+snapshotOf(const TwoPassChannel &ch)
+{
+    serial::Writer w;
+    ch.saveState(w);
+    return w.take();
+}
+
+/** Tags of `done`, in retirement order. */
+std::vector<std::uint64_t>
+tagsOf(const std::vector<MemRequest> &done)
+{
+    std::vector<std::uint64_t> tags;
+    for (const MemRequest &r : done)
+        tags.push_back(r.tag);
+    return tags;
+}
+
+/**
+ * Drive a DramChannel and the two-pass reference with one PCG32 request
+ * stream and compare them after every tick. The stream mixes reads and
+ * writes, runs of consecutive sectors (row hits), scattered addresses
+ * over a few rows per bank and over many, and bursts that fill the
+ * queue. The channel under test follows the idle-skip protocol
+ * (tickQuiescent() whenever nextEventCycle() proves the tick event-free)
+ * and, halfway through, is saved and restored into a fresh channel.
+ */
+void
+expectMatchesTwoPass(const DramConfig &cfg, std::uint64_t seed,
+                     unsigned ticks)
+{
+    StatGroup ref_stats("dram");
+    TwoPassChannel ref(cfg, &ref_stats);
+    auto stats = std::make_unique<StatGroup>("dram");
+    auto ch = std::make_unique<DramChannel>(cfg, false, stats.get());
+
+    Pcg32 rng(seed);
+    Addr stream = 0;
+    std::uint64_t next_tag = 1;
+    for (unsigned t = 0; t < ticks; ++t) {
+        const std::uint32_t roll = rng.nextBelow(100);
+        const unsigned arrivals = roll < 4    ? cfg.queueSize
+                                  : roll < 45 ? 1 + rng.nextBelow(3)
+                                              : 0;
+        for (unsigned i = 0; i < arrivals; ++i) {
+            ASSERT_EQ(ch->canAccept(), ref.canAccept()) << "tick " << t;
+            if (!ch->canAccept())
+                break;
+            const std::uint32_t kind = rng.nextBelow(100);
+            if (kind < 50)
+                stream += kSectorBytes; // same-row run
+            else if (kind < 80)
+                stream = Addr(rng.nextBelow(1u << 14)) * kSectorBytes;
+            else
+                stream = Addr(rng.nextBelow(1u << 22)) * kSectorBytes;
+            MemRequest r;
+            r.addr = stream;
+            r.write = rng.nextBelow(4) == 0;
+            r.origin = rng.nextBelow(2) != 0 ? AccessOrigin::RtUnit
+                                             : AccessOrigin::Shader;
+            r.smId = rng.nextBelow(8);
+            r.tag = next_tag++;
+            ch->enqueue(r);
+            ref.enqueue(r);
+        }
+
+        const Cycle next = ch->nextEventCycle();
+        ASSERT_EQ(next, ref.nextEventCycle()) << "tick " << t;
+        if (next == kNoPendingEvent || next > ch->dramNow() + 1)
+            ch->tickQuiescent();
+        else
+            ch->cycle(t);
+        ref.cycle();
+
+        ASSERT_EQ(tagsOf(ch->completed()), tagsOf(ref.completed()))
+            << "tick " << t;
+        ASSERT_EQ(ch->stateDigest(), ref.stateDigest()) << "tick " << t;
+        ASSERT_EQ(snapshotOf(*ch), snapshotOf(ref)) << "tick " << t;
+        ASSERT_EQ(stats->dump(), ref_stats.dump()) << "tick " << t;
+        ch->clearCompleted();
+        ref.clearCompleted();
+
+        if (t == ticks / 2) {
+            serial::Writer w;
+            ch->saveState(w);
+            stats->saveState(w);
+            auto fresh_stats = std::make_unique<StatGroup>("dram");
+            auto fresh =
+                std::make_unique<DramChannel>(cfg, false, fresh_stats.get());
+            serial::Reader r(w.buffer());
+            fresh->loadState(r);
+            fresh_stats->loadState(r);
+            ASSERT_EQ(r.remaining(), 0u);
+            ch = std::move(fresh);
+            stats = std::move(fresh_stats);
+        }
+    }
+    // The stream must have exercised both FR-FCFS outcomes.
+    EXPECT_GT(ref_stats.get("row_hits"), ticks / 50);
+    EXPECT_GT(ref_stats.get("row_misses"), ticks / 50);
+}
+
+TEST(DramSchedulerTest, DecodedScanMatchesTwoPassOracle)
+{
+    const GpuConfig baseline = baselineGpuConfig();
+    const GpuConfig modern =
+        applyMemoryVariant(baseline, MemoryVariant::Modern);
+    // Short windows and a refresh every few hundred ticks, so every
+    // constraint of the issue flags binds many times in one run.
+    DramConfig tight = modernDram();
+    tight.banks = 8;
+    tight.rowBytes = 1024;
+    tight.bankGroups = 2;
+    tight.tCcdL = 5;
+    tight.tCcdS = 2;
+    tight.tRrd = 7;
+    tight.tRefi = 400;
+    tight.tRfc = 30;
+    {
+        SCOPED_TRACE("Table III baseline");
+        expectMatchesTwoPass(baseline.fabric.dram, 1, 20000);
+    }
+    {
+        SCOPED_TRACE("modern: bank groups, tCCDL/S, tRRD, refresh");
+        expectMatchesTwoPass(modern.fabric.dram, 2, 20000);
+    }
+    {
+        SCOPED_TRACE("tight windows, frequent refresh");
+        expectMatchesTwoPass(tight, 3, 20000);
+    }
+}
+
+// --- Snapshot decoding ------------------------------------------------------
+
+/** One request in the snapshot layout, with a raw origin byte. */
+void
+putRequest(serial::Writer &w, const MemRequest &r,
+           std::uint8_t origin_byte = 0)
+{
+    w.u64(r.addr);
+    w.b(r.write);
+    w.u8(origin_byte);
+    w.u32(r.smId);
+    w.u64(r.tag);
+}
+
+/** A DramChannel snapshot of an idle channel holding `queue`. */
+std::vector<std::uint8_t>
+craftChannel(const std::vector<MemRequest> &queue, std::uint64_t banks,
+             std::uint64_t groups, std::uint8_t origin_byte = 0)
+{
+    serial::Writer w;
+    w.u64(queue.size());
+    for (const MemRequest &r : queue)
+        putRequest(w, r, origin_byte);
+    w.u64(banks);
+    for (std::uint64_t b = 0; b < banks; ++b) {
+        w.u64(~Addr(0));
+        w.u64(0);
+    }
+    w.u64(0); // inflight
+    w.u64(0); // completed
+    w.u64(0); // DRAM clock
+    w.u64(0); // bus free
+    w.u64(0); // tCCDS window
+    w.u64(groups);
+    for (std::uint64_t g = 0; g < groups; ++g)
+        w.u64(0);
+    w.u64(0); // tRRD window
+    w.u64(0); // next refresh
+    return w.take();
+}
+
+/** loadState's SimError message for `bytes` ("" when it loads). */
+template <typename Unit>
+std::string
+loadError(Unit &unit, const std::vector<std::uint8_t> &bytes)
+{
+    serial::Reader r(bytes);
+    try {
+        unit.loadState(r);
+    } catch (const SimError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(FabricSnapshotTest, ChannelRejectsMalformedState)
+{
+    DramConfig cfg = modernDram(); // 4 banks, queue of 16
+    cfg.bankGroups = 2;
+    StatGroup stats("dram");
+    const std::vector<MemRequest> two(2);
+    {
+        DramChannel ch(cfg, false, &stats);
+        EXPECT_EQ(loadError(ch, craftChannel(two, 4, 2)), "");
+        EXPECT_EQ(ch.nextEventCycle(), 1u);
+    }
+    auto expect_rejected = [&](const std::vector<std::uint8_t> &bytes,
+                               const std::string &why) {
+        DramChannel ch(cfg, false, &stats);
+        std::string err = loadError(ch, bytes);
+        EXPECT_NE(err.find(why), std::string::npos) << "got: " << err;
+    };
+    expect_rejected(craftChannel(std::vector<MemRequest>(17), 4, 2),
+                    "17 queued requests, the queue holds 16");
+    expect_rejected(craftChannel(two, 8, 2), "8 banks, the channel has 4");
+    expect_rejected(craftChannel(two, 4, 1),
+                    "1 bank groups, the channel has 2");
+    expect_rejected(craftChannel(two, 4, 2, 2), "access origin 2");
+}
+
+/** What craftFabric puts in an otherwise idle fabric snapshot. */
+struct FabricImage
+{
+    std::uint64_t partitions = 2;
+    std::vector<MemRequest> inbound; ///< partition 0's inbound queue
+    std::vector<MemRequest> pending; ///< partition 0's pending misses
+    std::uint64_t sms = 2;
+    std::vector<MemRequest> responses; ///< SM 0's response queue
+    std::uint64_t cursor = 0;          ///< SM 0's drain cursor
+};
+
+std::vector<std::uint8_t>
+craftFabric(const FabricConfig &fc, const FabricImage &img)
+{
+    serial::Writer w;
+    w.u64(img.partitions);
+    for (std::uint64_t p = 0; p < img.partitions; ++p) {
+        Cache(fc.l2).saveState(w);
+        StatGroup stats;
+        DramChannel(fc.dram, false, &stats).saveState(w);
+        const std::vector<MemRequest> none;
+        const std::vector<MemRequest> &inbound = p == 0 ? img.inbound : none;
+        w.u64(inbound.size());
+        for (const MemRequest &r : inbound) {
+            w.u64(0); // ready cycle
+            putRequest(w, r);
+        }
+        const std::vector<MemRequest> &pending = p == 0 ? img.pending : none;
+        w.u64(pending.size());
+        std::uint64_t cookie = 1;
+        for (const MemRequest &r : pending) {
+            w.u64(cookie++);
+            putRequest(w, r);
+        }
+        w.u64(cookie); // next cookie
+    }
+    w.u64(img.sms);
+    for (std::uint64_t sm = 0; sm < img.sms; ++sm) {
+        const std::vector<MemRequest> none;
+        const std::vector<MemRequest> &q = sm == 0 ? img.responses : none;
+        w.u64(q.size());
+        for (const MemRequest &r : q) {
+            w.u64(0); // ready cycle
+            putRequest(w, r);
+        }
+        w.u64(sm == 0 ? img.cursor : 0);
+    }
+    w.u64(0); // clock-crossing accumulator bits
+    StatGroup().saveState(w);
+    return w.take();
+}
+
+TEST(FabricSnapshotTest, FabricRejectsMalformedState)
+{
+    const FabricConfig fc = testFabric(2);
+    MemRequest from_sm1;
+    from_sm1.smId = 1;
+    FabricImage good;
+    good.inbound = {from_sm1};
+    good.pending = {from_sm1};
+    good.responses = {from_sm1, from_sm1};
+    good.cursor = 2;
+    {
+        MemFabric fab(fc, 2);
+        EXPECT_EQ(loadError(fab, craftFabric(fc, good)), "");
+        EXPECT_FALSE(fab.hasResponse(0));
+    }
+    auto expect_rejected = [&](const FabricImage &img,
+                               const std::string &why) {
+        MemFabric fab(fc, 2);
+        std::string err = loadError(fab, craftFabric(fc, img));
+        EXPECT_NE(err.find(why), std::string::npos) << "got: " << err;
+    };
+    FabricImage bad = good;
+    bad.partitions = 3;
+    expect_rejected(bad, "3 partitions, the fabric has 2");
+    bad = good;
+    bad.sms = 3;
+    expect_rejected(bad, "3 SM response queues, the GPU has 2");
+    MemRequest from_sm2;
+    from_sm2.smId = 2;
+    bad = good;
+    bad.inbound = {from_sm2};
+    expect_rejected(bad, "request from SM 2, the GPU has 2");
+    bad = good;
+    bad.pending = {from_sm2};
+    expect_rejected(bad, "request from SM 2, the GPU has 2");
+    bad = good;
+    bad.cursor = 3;
+    expect_rejected(bad, "SM 0 response cursor 3 is past its 2 responses");
 }
 
 } // namespace
