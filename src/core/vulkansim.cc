@@ -77,13 +77,13 @@ addSimFlags(Cli &cli)
                "hardware)")
         .flag("serial", "run the serial engine (same as --threads=1)")
         .flag("no-idle-skip",
-              "lock-step stepping: cycle every unit every cycle "
-              "(idle-skip is behavior-neutral; this is the debugging / "
-              "cross-check escape hatch)")
+              "cycle every unit every cycle instead of sleeping "
+              "quiescent SMs (idle-skip is behavior-neutral; this is the "
+              "debugging / cross-check escape hatch)")
         .option("epoch-cycles", "N", "",
-                "epoch-stepped engine: cycles each SM advances between "
-                "barriers, clamped to the fabric response-latency skew "
-                "bound (1 = classic lock-step oracle; default 64)")
+                "cycles each SM advances between barriers, clamped to "
+                "the fabric response-latency skew bound (1 = a barrier "
+                "every cycle, the finest stepping; default 64)")
         .flag("perf", "print a host-performance summary per run")
         .option("check", "off|basic|full", "",
                 "self-validation level (default from VKSIM_CHECK)")

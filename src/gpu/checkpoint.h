@@ -13,8 +13,8 @@
  * oracle for every thread count, idle-skip setting, and epoch length.
  *
  * Snapshots are only defined at barriers: the staged SM→fabric queues
- * are empty there and every unit's live state equals its lock-step
- * state. Requesting an exact mid-epoch snapshot is a hard API error.
+ * are empty there and every unit's live state equals its state in a
+ * run with one-cycle epochs. Requesting an exact mid-epoch snapshot is a hard API error.
  */
 
 #ifndef VKSIM_GPU_CHECKPOINT_H
@@ -86,8 +86,8 @@ inline constexpr std::uint32_t kSnapshotVersion = 3;
  * Deliberately excludes behavior-neutral execution knobs (threads,
  * idleSkip, epochCycles, check level, digest/sweep instrumentation,
  * timeline, checkpoint settings, clocks-as-reporting): a snapshot from
- * a 4-thread epoch-stepped run restores into a serial lock-step engine
- * and vice versa.
+ * a 4-thread run with 64-cycle epochs restores into a serial run with
+ * one-cycle epochs and vice versa.
  */
 std::uint64_t gpuConfigDigest(const GpuConfig &config);
 

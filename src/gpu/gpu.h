@@ -77,8 +77,9 @@ struct GpuConfig
      * advance their cores through multi-cycle epochs between barriers,
      * with all SM→fabric traffic staged per (SM, cycle) and replayed
      * against the fabric in deterministic (cycle, SM) order at the
-     * epoch boundary. 1 = classic lock-step (one barrier per cycle, the
-     * certification oracle for tools/diffrun).
+     * epoch boundary. 1 = one barrier per cycle (the finest stepping,
+     * used as the reference by tools/diffrun); same loop, no special
+     * case.
      *
      * Behavior-neutral by construction: the engine clamps the epoch to
      * the architectural skew bound (the minimum fabric response latency,
@@ -206,7 +207,7 @@ struct RunResult
 
     /**
      * Epoch length the engine actually stepped with after clamping to
-     * the skew bound (1 = lock-step). Telemetry like threadsUsed:
+     * the skew bound (1 = a barrier every cycle). Telemetry like threadsUsed:
      * excluded from `metrics` so the stats dump stays byte-identical
      * across stepping modes.
      */
@@ -271,8 +272,8 @@ inline constexpr unsigned kRtLatencyBuckets = 200;
  * Thread-safety: cycle() may run concurrently with other SMs' cycle()
  * calls. All SM→fabric traffic is *staged* locally during cycle() and
  * only reaches the shared MemFabric when the owning simulator calls
- * flushStagedRequests() — serially, in fixed SM order, at the cycle
- * barrier. Each SM owns its caches, executor, and statistics (including
+ * flushStagedCycle() — serially, in fixed (cycle, SM) order, at the
+ * epoch barrier. Each SM owns its caches, executor, and statistics (including
  * the RT-unit stats, merged after the run), so cycle() touches no shared
  * mutable state except the simulated GlobalMemory, which is internally
  * synchronized and written at per-thread-disjoint addresses.
@@ -289,19 +290,12 @@ class SmCore : public RtMemPort, public ClockedUnit
     void cycle(Cycle now) override;
 
     /**
-     * Forward the memory requests staged during cycle(now) to the fabric,
-     * preserving their issue order. Must be called once per cycle, from a
-     * single thread, in ascending SM order (determinism contract).
-     */
-    void flushStagedRequests(Cycle now);
-
-    /**
-     * Epoch-mode drain: inject the requests this SM staged during its
+     * Barrier drain: inject the requests this SM staged during its
      * cycle(c) call — and only those — preserving issue order. The
      * barrier replays an epoch by calling this for every cycle of the
-     * span in ascending (cycle, SM) order, reproducing exactly the
-     * injection sequence lock-step flushing would have produced. Must
-     * be called with non-decreasing `c` between clearStaged() calls.
+     * span in ascending (cycle, SM) order, from a single thread
+     * (determinism contract). Must be called with non-decreasing `c`
+     * between clearStaged() calls.
      * @return true if any request was injected.
      */
     bool flushStagedCycle(Cycle c);
@@ -367,8 +361,8 @@ class SmCore : public RtMemPort, public ClockedUnit
     bool rtIssueWrite(Addr sector) override;
 
     /**
-     * Validate this SM's bookkeeping at a cycle barrier (after
-     * flushStagedRequests): scoreboard/load accounting, writeback and
+     * Validate this SM's bookkeeping at an epoch barrier (after the
+     * staged traffic is replayed): scoreboard/load accounting, writeback and
      * LDST referential integrity, plus the owned caches, RT unit and
      * each resident warp's SIMT-stack well-formedness.
      */

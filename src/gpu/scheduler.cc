@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/log.h"
+#include "util/simerror.h"
 
 namespace vksim {
 
@@ -93,16 +94,26 @@ EngineScheduler::saveState(serial::Writer &w) const
 }
 
 void
-EngineScheduler::loadState(serial::Reader &r)
+EngineScheduler::loadState(serial::Reader &r, Cycle at)
 {
     std::uint64_t num_units = r.u64();
-    vksim_assert(num_units == units_.size());
+    if (num_units != units_.size())
+        throw SimError("engine snapshot is malformed: it holds "
+                       + std::to_string(num_units)
+                       + " scheduler units for "
+                       + std::to_string(units_.size()) + " SMs");
     active_.clear();
     for (unsigned sm = 0; sm < units_.size(); ++sm) {
         Unit &u = units_[sm];
         u.awake = r.b();
         u.sleepSince = r.u64();
         u.digestValid = false;
+        if (!u.awake && u.sleepSince > at)
+            throw SimError("engine snapshot is malformed: SM "
+                           + std::to_string(sm) + " sleeps from cycle "
+                           + std::to_string(u.sleepSince)
+                           + ", after the snapshot cycle "
+                           + std::to_string(at));
         if (u.awake)
             active_.push_back(sm);
     }

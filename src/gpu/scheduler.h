@@ -8,7 +8,7 @@
  * active set. A sleeping SM is woken by warp dispatch or by a fabric
  * response addressed to it; at wake (and at end of run) the skipped
  * span is replayed in bulk through SmCore::catchUpIdleCycles(), which
- * reproduces exactly what lock-step cycling of a sleepable SM would
+ * reproduces exactly what cycling a sleepable SM every cycle would
  * have done. The result is bit-identical stats, digests, timelines and
  * images with idle-skip on or off (DESIGN.md, "Stepping contract").
  *
@@ -63,8 +63,8 @@ class EngineScheduler
 
     /**
      * Move every active SM that is now sleepable() to the sleeping set,
-     * with `from` as the first cycle it will skip. Call once per loop
-     * iteration, after ++now.
+     * with `from` as the first cycle it will skip. Call once per
+     * barrier, after `now` has advanced past the span.
      */
     void reconcile(Cycle from);
 
@@ -96,9 +96,12 @@ class EngineScheduler
      * digests are a pure cache and are not serialized; loadState
      * invalidates them and rebuilds the active list from the awake
      * flags. `enabled_` is construction-time config, not state.
+     * loadState throws SimError unless there is one unit per SM and
+     * every sleeping unit fell asleep no later than `at`, the cycle the
+     * snapshot was taken at.
      */
     void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    void loadState(serial::Reader &r, Cycle at);
 
   private:
     struct Unit

@@ -29,22 +29,18 @@ struct Camera
     Vec3 up{0.f, 1.f, 0.f};
     float focusDistance = 1.f;
 
-    /** Build a camera looking from `eye` to `target`. */
-    static Camera
-    lookAt(const Vec3 &eye, const Vec3 &target, const Vec3 &world_up,
-           float vfov_degrees, float aspect_ratio)
-    {
-        Camera cam;
-        cam.position = eye;
-        cam.forward = normalize(target - eye);
-        cam.right = normalize(cross(cam.forward, world_up));
-        cam.up = cross(cam.right, cam.forward);
-        cam.tanHalfFov =
-            std::tan(vfov_degrees * 3.14159265358979323846f / 360.f);
-        cam.aspect = aspect_ratio;
-        cam.focusDistance = length(target - eye);
-        return cam;
-    }
+    /**
+     * Build a camera looking from `eye` to `target`. Defined out of line
+     * (camera.cc) so every build evaluates the field of view with the
+     * libm tangent: inlined at a call site with a constant angle, the
+     * optimizer may fold std::tan at compile time instead, and the
+     * folded value can differ from libm's in the last bit — the scene,
+     * and every digest of ray state, would then depend on the
+     * optimization level.
+     */
+    static Camera lookAt(const Vec3 &eye, const Vec3 &target,
+                         const Vec3 &world_up, float vfov_degrees,
+                         float aspect_ratio);
 
     /**
      * Primary ray through pixel (px, py) of a width x height image with

@@ -12,9 +12,6 @@
  *    GpuConfig, which lives above util) install the shared simulator
  *    flag set once and map it onto a GpuConfig, keeping all drivers in
  *    sync.
- *
- * The older `util/options.h` free-form parser remains only for the
- * bench_* pretty-printers; new binaries should use Cli.
  */
 
 #ifndef VKSIM_UTIL_CLI_H

@@ -23,7 +23,7 @@ struct ActivePoolScope
 
 /**
  * Bounded spin before parking on a condition variable. The engine
- * re-arms the pool once per barrier — every cycle in lock-step mode —
+ * re-arms the pool once per barrier — every cycle at epoch length 1 —
  * so a full futex sleep/wake round trip per barrier dominates the cost
  * of cycling small SM sets. A few thousand pause iterations cover the
  * inter-barrier gap of a busy simulation; an idle pool still parks.

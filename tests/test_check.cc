@@ -391,10 +391,11 @@ TEST(CheckEndToEndTest, InjectedDigestFaultIsLocalized)
 
 // The scheduler proves sleeping units frozen, so Full-level sweeps skip
 // them. The run must be observably identical (stats, cycles) while the
-// per-unit sweep count drops; lock-step mode must sweep everything and
-// skip nothing. (That skipped units still *catch* violations once awake
-// is covered by RetiredWarpLeavesNoStaleWritebacks above, which plants
-// a real violation and runs with idle-skip at its default, on.)
+// per-unit sweep count drops; with idle-skip off it must sweep
+// everything and skip nothing. (That skipped units still *catch*
+// violations once awake is covered by RetiredWarpLeavesNoStaleWritebacks
+// above, which plants a real violation and runs with idle-skip at its
+// default, on.)
 TEST(CheckEndToEndTest, FullSweepsSkipSleepingUnits)
 {
     WorkloadParams p = tiny(WorkloadId::TRI);
@@ -428,7 +429,7 @@ TEST(CheckEndToEndTest, FullSweepsSkipSleepingUnits)
 }
 
 // The probe pins down *when* a deferred unit is re-covered: in
-// lock-step mode a Full sweep touches every SM every cycle, so the
+// idle-skip-off mode a Full sweep touches every SM every cycle, so the
 // probe fires exactly at the requested cycle; with idle-skip on, an SM
 // that never receives a warp sleeps through the whole run and is only
 // swept again by the final deep sweep over the woken machine.

@@ -6,7 +6,7 @@
  * occupancy trace, and rendered image all equal to the uninterrupted
  * oracle — for every thread count, idle-skip setting, and epoch length,
  * and *across* those execution modes (a snapshot from a threaded
- * epoch-stepped run restores into a serial lock-step engine). The
+ * run with 64-cycle epochs restores into a serial one-cycle run). The
  * on-disk halves are held to the same standard: snapshot files and
  * DiskStore artifacts verify their payload digests on load, and corrupt
  * bytes are never served — a truncated or bit-flipped file is an
@@ -20,12 +20,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/vulkansim.h"
 #include "gpu/checkpoint.h"
+#include "mem/gmem.h"
 #include "service/artifacts.h"
 #include "service/diskstore.h"
 #include "util/serial.h"
@@ -264,8 +266,9 @@ TEST(CheckpointTest, MultiFrameAccumulationSurvivesMidFrameRestore)
 
 /**
  * Snapshots must move freely across execution modes: a snapshot taken
- * by a 4-thread epoch-stepped idle-skipping engine restores into a
- * serial lock-step engine (and back) with bit-identical results.
+ * by a 4-thread idle-skipping engine with 64-cycle epochs restores into
+ * a serial engine with one-cycle epochs (and back) with bit-identical
+ * results.
  */
 TEST(CheckpointTest, SnapshotCrossesExecutionModes)
 {
@@ -279,14 +282,14 @@ TEST(CheckpointTest, SnapshotCrossesExecutionModes)
     RunResult snap_run = service::defaultService().submit(snap_wl, threaded).take().run;
     ASSERT_NE(snap_run.snapshot, nullptr);
 
-    // Threaded epoch-stepped snapshot -> serial lock-step engine.
+    // Threaded 64-cycle-epoch snapshot -> serial one-cycle epochs.
     GpuConfig serial = engineConfig(false, 1, 1);
     serial.checkpoint.resume = snap_run.snapshot;
     Workload serial_wl(WorkloadId::TRI, tinyParams());
     RunResult serial_run = service::defaultService().submit(serial_wl, serial).take().run;
     expectResumedRunMatches(oracle, oracle_img, serial_run, serial_wl);
 
-    // And back: serial lock-step snapshot -> threaded epoch engine.
+    // And back: serial one-cycle-epoch snapshot -> threaded engine.
     GpuConfig lockstep = engineConfig(false, 1, 1);
     lockstep.checkpoint.snapshotAt = oracle.cycles / 3;
     Workload lock_wl(WorkloadId::TRI, tinyParams());
@@ -356,7 +359,7 @@ TEST(CheckpointTest, ExactSnapshotMustLandOnBarrier)
             << e.what();
     }
 
-    // A lock-step engine (epochCycles=1) has a barrier at every cycle,
+    // With epochCycles=1 the engine has a barrier at every cycle,
     // so the same exact request that failed above succeeds there.
     EXPECT_EQ(snapshotCycle(engineConfig(false, 1, 1), probe, true), probe);
 }
@@ -415,6 +418,80 @@ TEST(CheckpointTest, ResumeRejectsDifferentStructuralConfig)
     structural.fabric.icntLatency += 1;
     EXPECT_NE(gpuConfigDigest(engineConfig(false, 1, 1)),
               gpuConfigDigest(structural));
+}
+
+/**
+ * A crafted snapshot under a valid config digest is rejected with
+ * SimError — never an abort, an allocation failure or a silent misread.
+ * Payload layout: brk, page count, (index, length, bytes) per page,
+ * next warp and round-robin SM, the scheduler (unit count, then an
+ * awake byte and a sleep cycle per SM), the units, then the occupancy
+ * samples (count, then 12 bytes each).
+ */
+TEST(CheckpointTest, ResumeRejectsMalformedSnapshotBytes)
+{
+    GpuConfig cfg = engineConfig(false, 1, 1);
+    cfg.checkpoint.snapshotAt = 64;
+    Workload wl(WorkloadId::TRI, tinyParams());
+    RunResult run = service::defaultService().submit(wl, cfg).take().run;
+    ASSERT_NE(run.snapshot, nullptr);
+    const std::vector<std::uint8_t> &good = run.snapshot->bytes;
+
+    auto get64 = [](const std::vector<std::uint8_t> &b, std::size_t at) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < 8; ++i)
+            v |= std::uint64_t(b.at(at + i)) << (8 * i);
+        return v;
+    };
+    auto put = [](std::vector<std::uint8_t> &b, std::size_t at,
+                  std::uint64_t v, unsigned bytes) {
+        for (unsigned i = 0; i < bytes; ++i)
+            b.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    const std::uint64_t pages = get64(good, 8);
+    ASSERT_GT(pages, 0u);
+    const std::size_t cursors = 16 + pages * (16 + GlobalMemory::kPageSize);
+    std::uint64_t samples = 0;
+    for (const auto &[cycle, rays] : run.occupancyTrace)
+        samples += cycle < run.snapshot->cycle;
+    const std::size_t occupancy = good.size() - 12 * samples - 8;
+    ASSERT_EQ(get64(good, occupancy), samples);
+
+    const std::vector<std::pair<std::string,
+                                std::function<void(std::vector<std::uint8_t> &)>>>
+        cases = {
+            {"one trailing byte", [](auto &b) { b.push_back(0); }},
+            {"page length 2^40",
+             [&](auto &b) { put(b, 24, 1ull << 40, 8); }},
+            {"page count 2^60", [&](auto &b) { put(b, 8, 1ull << 60, 8); }},
+            {"page index past the address space",
+             [&](auto &b) { put(b, 16, 1ull << 60, 8); }},
+            {"next warp past the launch",
+             [&](auto &b) { put(b, cursors, 0xFFFFFFFFu, 4); }},
+            {"round-robin SM past the machine",
+             [&](auto &b) { put(b, cursors + 4, cfg.numSms, 4); }},
+            {"scheduler unit count",
+             [&](auto &b) { put(b, cursors + 8, cfg.numSms + 1, 8); }},
+            {"SM asleep since after the snapshot",
+             [&](auto &b) {
+                 put(b, cursors + 16, 0, 1); // SM 0 asleep...
+                 put(b, cursors + 17, 1ull << 40, 8); // ...from 2^40
+             }},
+            {"occupancy count 2^60",
+             [&](auto &b) { put(b, occupancy, 1ull << 60, 8); }},
+        };
+    for (const auto &[name, corrupt] : cases) {
+        auto snap = std::make_shared<EngineSnapshot>(*run.snapshot);
+        corrupt(snap->bytes);
+        GpuConfig res_cfg = engineConfig(false, 1, 1);
+        res_cfg.checkpoint.resume = snap;
+        Workload res_wl(WorkloadId::TRI, tinyParams());
+        EXPECT_THROW(service::defaultService().submit(res_wl, res_cfg)
+                         .take()
+                         .run,
+                     SimError)
+            << name;
+    }
 }
 
 TEST(CheckpointTest, ValidateRejectsBadCheckpointCombos)

@@ -4,7 +4,8 @@
  * the relaxed-synchronization engine — SMs advancing through
  * multi-cycle epochs with staged traffic replayed at the barrier — is
  * clamped to the fabric response-latency skew bound and must therefore
- * be bit-identical to the lock-step oracle. This suite pins the clamp
+ * be bit-identical to the same loop run with one-cycle epochs. This
+ * suite pins the clamp
  * arithmetic, the oracle-certification path (diffrun-style digest
  * comparison localizing an injected fault to the exact cycle and unit
  * inside an epoch), and the engine-selection corner cases the
@@ -66,9 +67,9 @@ TEST(EpochEngineTest, RequestedEpochBelowBoundIsUsedVerbatim)
 
 TEST(EpochEngineTest, FullCheckLevelForcesLockStep)
 {
-    // Full-level checking sweeps shallow invariants at every cycle
-    // barrier — a barrier only lock-step has — so the engine must fall
-    // back to one-cycle epochs regardless of the request.
+    // Full-level checking sweeps shallow invariants at every cycle, and
+    // the engine sweeps only at barriers, so it must run one-cycle
+    // epochs regardless of the request.
     GpuConfig cfg = epochConfig(64);
     cfg.checkLevel = check::CheckLevel::Full;
     Workload w(WorkloadId::TRI, tinyParams());
@@ -92,7 +93,7 @@ TEST(EpochEngineTest, ZeroEpochCyclesIsRejected)
  * a cycle that falls mid-epoch must be localized by firstDivergence()
  * to exactly that cycle and unit. This is what makes diffrun's verdict
  * trustworthy for the relaxed engine — worker-recorded per-cycle
- * digests preserve full lock-step localization granularity, not just
+ * digests preserve full per-cycle localization granularity, not just
  * epoch granularity.
  */
 TEST(EpochEngineTest, InjectedFaultIsLocalizedInsideAnEpoch)
@@ -172,7 +173,7 @@ TEST(EpochEngineTest, InjectedFabricFaultIsLocalizedInsideAnEpoch)
 }
 
 // Epoch stepping with idle-skip disabled must still match the
-// double-oracle (lock-step, no idle-skip) run: the mid-epoch park
+// double-oracle (one-cycle epochs, no idle-skip) run: the mid-epoch park
 // heartbeat replay is the only machinery covering that combination.
 TEST(EpochEngineTest, NoIdleSkipEpochMatchesLockStep)
 {

@@ -14,9 +14,17 @@
  *
  * then review the diff of the tests/golden JSON like any other code —
  * the review IS the point: an unexplained counter shift is a bug.
+ *
+ * Each workload also has a frozen engine fingerprint: cycles plus 64-bit
+ * folds of the digest and occupancy traces. They were recorded from the
+ * one-cycle lock-step loop the engine had before one-cycle epochs became
+ * ordinary epochs, so they keep an independent reference for the
+ * stepping contract: every epoch length must reproduce them exactly.
  */
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -68,6 +76,13 @@ goldenParams(WorkloadId id)
     if (id == WorkloadId::ACC)
         p.frames = 2;
     return p;
+}
+
+bool
+updatingGoldens()
+{
+    const char *update = std::getenv("VKSIM_UPDATE_GOLDEN");
+    return update && update[0] == '1';
 }
 
 bool
@@ -169,8 +184,7 @@ TEST_P(GoldenStatsTest, MatchesCheckedInGolden)
                                     + "/stats_" + workload.name()
                                     + ".json";
 
-    if (const char *update = std::getenv("VKSIM_UPDATE_GOLDEN");
-        update && update[0] == '1') {
+    if (updatingGoldens()) {
         std::ofstream os(golden_path);
         ASSERT_TRUE(os.good()) << "cannot write " << golden_path;
         os << current;
@@ -196,6 +210,67 @@ TEST_P(GoldenStatsTest, MatchesCheckedInGolden)
         << errors.size() << " metric(s) drifted from " << golden_path
         << "; if intended, regenerate with VKSIM_UPDATE_GOLDEN=1 and"
            " review the diff";
+}
+
+/** Sparse and off the epoch grid, so samples land inside epochs. */
+constexpr Cycle kFingerprintPeriod = 37;
+
+/**
+ * One run's engine fingerprint as a line of JSON: cycles, sample counts
+ * and FNV-1a folds of the digest trace and of the occupancy trace.
+ */
+std::string
+engineFingerprint(WorkloadId id, unsigned epoch_cycles)
+{
+    GpuConfig cfg = goldenConfig();
+    cfg.epochCycles = epoch_cycles;
+    cfg.digestTrace = true;
+    cfg.digestPeriod = kFingerprintPeriod;
+    cfg.occupancySamplePeriod = kFingerprintPeriod;
+    Workload workload(id, goldenParams(id));
+    RunResult run =
+        service::defaultService().submit(workload, cfg).take().run;
+
+    check::Digest digests, occupancy;
+    for (std::uint64_t v : run.digests.values)
+        digests.mix(v);
+    for (const auto &[cycle, rays] : run.occupancyTrace) {
+        occupancy.mix(cycle);
+        occupancy.mix(rays);
+    }
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "{\"cycles\": %" PRIu64 ", \"digest_samples\": %zu, "
+                  "\"digest_fold\": \"%016" PRIx64 "\", "
+                  "\"occupancy_samples\": %zu, "
+                  "\"occupancy_fold\": \"%016" PRIx64 "\"}\n",
+                  static_cast<std::uint64_t>(run.cycles),
+                  run.digests.samples(), digests.value(),
+                  run.occupancyTrace.size(), occupancy.value());
+    return line;
+}
+
+TEST_P(GoldenStatsTest, MatchesFrozenFingerprint)
+{
+    auto id = static_cast<WorkloadId>(GetParam());
+    const std::string one = engineFingerprint(id, 1);
+    const std::string dflt = engineFingerprint(id, GpuConfig{}.epochCycles);
+    ASSERT_EQ(one, dflt) << "epoch length changed the simulated run";
+
+    const std::string path = std::string(VKSIM_GOLDEN_DIR) + "/fingerprint_"
+                             + wl::workloadName(id) + ".json";
+    if (updatingGoldens()) {
+        std::ofstream os(path);
+        ASSERT_TRUE(os.good()) << "cannot write " << path;
+        os << one;
+        GTEST_SKIP() << "fingerprint regenerated: " << path;
+    }
+
+    std::string text, error;
+    ASSERT_TRUE(readFile(path, &text, &error))
+        << error << " — run with VKSIM_UPDATE_GOLDEN=1 to create it";
+    EXPECT_EQ(text, one) << "the engine drifted from the frozen fingerprint "
+                         << path;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,8 +5,9 @@
  * bulk-replaying their heartbeat on wake, fast-forwarding the fabric
  * through provably event-free cycles, and advancing SMs through
  * multi-cycle epochs between barriers — must be *unobservable*. For
- * every workload, a run with idle-skip enabled must match the
- * lock-step run bit for bit at every epoch length: cycle count, every
+ * every workload, a run with idle-skip enabled must match the run that
+ * cycles every unit with one-cycle epochs bit for bit at every epoch
+ * length: cycle count, every
  * stat group, the full metrics JSON, the digest trace, the occupancy
  * trace, and the rendered image — on the serial and the threaded
  * engine alike. The only permitted difference is the skip telemetry
@@ -97,8 +98,8 @@ TEST_P(IdleSkipEquivalenceTest, BitIdenticalToLockStep)
 {
     auto id = static_cast<WorkloadId>(GetParam());
 
-    // The lock-step reference: every unit cycled every cycle, one
-    // barrier per cycle (epochCycles = 1 pins the oracle engine).
+    // The reference: every unit cycled every cycle, one barrier per
+    // cycle (epochCycles = 1, the finest stepping of the same loop).
     Workload ref_wl(id, tinyParams());
     RunResult ref = service::defaultService().submit(
         ref_wl, engineConfig(/*idle_skip=*/false, 1, /*epoch_cycles=*/1)).take().run;

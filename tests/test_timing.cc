@@ -150,8 +150,8 @@ TEST(MemoryVariantTest, ModernMemEpochThreadsIdleSkipStayBitIdentical)
 {
     // The determinism contract with every modern policy ON: the
     // epoch-stepped multi-threaded engine and the no-idle-skip engine
-    // must both match the serial lock-step oracle digest-for-digest and
-    // produce the identical metrics dump.
+    // must both match the serial one-cycle-epoch run digest-for-digest
+    // and produce the identical metrics dump.
     GpuConfig base = applyMemoryVariant(fastConfig(), MemoryVariant::Modern);
     base.digestTrace = true;
 

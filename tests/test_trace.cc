@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "core/vulkansim.h"
-#include "util/options.h"
 #include "vulkan/trace.h"
 #include "service/service.h"
 
@@ -78,20 +77,6 @@ TEST(TraceTest, LoadRejectsGarbage)
     EXPECT_EQ(loadTrace(path), nullptr);
     std::remove(path.c_str());
     EXPECT_EQ(loadTrace("/nonexistent/file.vktrace"), nullptr);
-}
-
-TEST(OptionsTest, ParsesFlagsAndValues)
-{
-    const char *argv[] = {"prog", "--width=32", "--mobile",
-                          "--scale=0.5", "--name=ext", "positional"};
-    Options opts(6, const_cast<char **>(argv));
-    EXPECT_EQ(opts.getInt("width", 0), 32);
-    EXPECT_TRUE(opts.getBool("mobile"));
-    EXPECT_FALSE(opts.getBool("absent"));
-    EXPECT_DOUBLE_EQ(opts.getFloat("scale", 0), 0.5);
-    EXPECT_EQ(opts.get("name"), "ext");
-    EXPECT_FALSE(opts.has("positional"));
-    EXPECT_EQ(opts.getInt("missing", 7), 7);
 }
 
 } // namespace

@@ -106,7 +106,7 @@ main(int argc, char **argv)
 
     GpuConfig serial = config;
     serial.threads = 1;
-    serial.epochCycles = 1; // reference run: the lock-step oracle
+    serial.epochCycles = 1; // reference run: a barrier every cycle
     serial.digestInjectCycle = ~Cycle(0); // reference run: never inject
 
     GpuConfig parallel = config;
