@@ -24,8 +24,9 @@ secondsSince(std::chrono::steady_clock::time_point start)
 /**
  * Fold frame `r` of a multi-frame run into `total`: cycles and
  * wall-clock add, stat groups / histograms / metrics merge in frame
- * order, and occupancy samples are rebased onto the accumulated
- * timeline so the trace stays monotonic.
+ * order, occupancy samples are rebased onto the accumulated timeline
+ * so the trace stays monotonic, and the frame's digest samples are
+ * appended (see RunResult::digests for how they map to cycles).
  */
 void
 accumulateFrame(RunResult &total, const RunResult &r)
@@ -44,6 +45,9 @@ accumulateFrame(RunResult &total, const RunResult &r)
     total.rtWarpLatency.merge(r.rtWarpLatency);
     for (const auto &[cycle, occ] : r.occupancyTrace)
         total.occupancyTrace.emplace_back(total.cycles + cycle, occ);
+    total.digests.values.insert(total.digests.values.end(),
+                                r.digests.values.begin(),
+                                r.digests.values.end());
     total.cycles += r.cycles;
     total.metrics.merge(r.metrics);
     total.hostSeconds += r.hostSeconds;
