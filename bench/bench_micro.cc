@@ -427,12 +427,15 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess)->Arg(0)->Arg(1);
 
 /**
- * One DRAM channel tick — the per-tick bank pass plus the FR-FCFS scan —
- * with the request queue refilled to a fixed depth after every tick.
- * Arg 0 is the depth (4, or the baseline queue size 64), Arg 1 picks
- * the Table III baseline timings (0) or the modern bank-group, tRRD and
- * refresh timings (1). The stream alternates same-row runs with
- * scattered sectors, so both row hits and row misses issue.
+ * One DRAM channel tick as the fabric drives it (DramChannel::tick(): a
+ * real tick — the bank pass plus the FR-FCFS scan — when an event is
+ * due, else a skipped one settled later). Arg 0 is the queue depth (4,
+ * or the baseline queue size 64), Arg 1 picks the Table III baseline
+ * timings (0) or the modern bank-group, tRRD and refresh timings (1),
+ * Arg 2 the traffic: 0 refills the queue to its depth after every tick,
+ * 1 enqueues one request every 64 ticks, so most ticks are skipped. The
+ * stream alternates same-row runs with scattered sectors, so both row
+ * hits and row misses issue.
  */
 void
 BM_DramChannelTick(benchmark::State &state)
@@ -457,25 +460,32 @@ BM_DramChannelTick(benchmark::State &state)
     DramChannel channel(cfg, false, &stats);
     std::size_t next = 0;
     Cycle now = 0;
+    const bool sparse = state.range(2) != 0;
     for (auto _ : state) {
-        while (channel.canAccept()) {
+        while (channel.canAccept() && (!sparse || now % 64 == 0)) {
             channel.enqueue(stream[next]);
             next = (next + 1) % stream.size();
+            if (sparse)
+                break;
         }
-        channel.cycle(now++);
+        channel.tick(now++);
         benchmark::DoNotOptimize(channel.completed().size());
         channel.clearCompleted();
     }
+    channel.settle();
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
     state.SetLabel(std::string(state.range(1) != 0 ? "modern" : "baseline")
                    + " timings, queue depth "
-                   + std::to_string(state.range(0)));
+                   + std::to_string(state.range(0))
+                   + (sparse ? ", one request per 64 ticks" : ""));
 }
 BENCHMARK(BM_DramChannelTick)
-    ->Args({4, 0})
-    ->Args({64, 0})
-    ->Args({4, 1})
-    ->Args({64, 1});
+    ->Args({4, 0, 0})
+    ->Args({64, 0, 0})
+    ->Args({4, 1, 0})
+    ->Args({64, 1, 0})
+    ->Args({64, 0, 1})
+    ->Args({64, 1, 1});
 
 /** Parallel reference renderer (tile fan-out) at 1/2/4/8 threads. */
 void

@@ -27,6 +27,7 @@ DramChannel::DramChannel(const DramConfig &config, bool perfect,
     }
     if (config_.tRefi > 0)
         nextRefreshAt_ = config_.tRefi;
+    nextEvent_ = earliestEvent();
 }
 
 DramChannel::Queued
@@ -45,7 +46,7 @@ DramChannel::earliestIssue(const Queued &q) const
 {
     // Exact while the channel state is frozen (between real cycles):
     // every constraint below can only be *raised* by a real cycle, and
-    // nextEventCycle() forces one at each constraint-changing tick
+    // the cached event forces one at each constraint-changing tick
     // (issue, retirement, refresh). With the modern knobs off this is
     // exactly the seed readiness rule (bank.readyAt).
     const Bank &bank = banks_[q.bank];
@@ -60,14 +61,32 @@ DramChannel::earliestIssue(const Queued &q) const
     return t;
 }
 
+std::uint64_t
+DramChannel::earliestEvent() const
+{
+    // Refresh mutates digested bank state, so the tREFI boundary is an
+    // event even on an otherwise empty (or perfect) channel: a skipped
+    // span must end with a real tick exactly there, or the refresh would
+    // be processed late with different readyAt stamps.
+    std::uint64_t next = nextRefreshAt_ != 0 ? nextRefreshAt_
+                                             : kNoPendingEvent;
+    if (perfect_)
+        return queue_.empty() ? next : 0;
+    for (const Inflight &f : inflight_)
+        next = std::min(next, f.doneAt);
+    for (const Queued &q : queue_)
+        next = std::min(next, earliestIssue(q));
+    return next;
+}
+
 void
 DramChannel::processRefresh()
 {
     // All-bank refresh: close every row and hold the banks for tRFC.
-    // Processed by real cycle() calls only — nextEventCycle() reports
-    // the tREFI boundary, so idle-skip runs a real cycle exactly at the
-    // refresh tick and a fast-forwarded run mutates bank state on the
-    // same tick a lock-step run would.
+    // Processed by real cycle() calls only — the tREFI boundary is an
+    // event (earliestEvent()), so a lazily ticked channel runs a real
+    // tick exactly at the refresh and mutates bank state on the same
+    // tick an always-ticked one would.
     while (nextRefreshAt_ != 0 && nowDram_ >= nextRefreshAt_) {
         for (Bank &b : banks_) {
             b.openRow = ~Addr(0);
@@ -82,7 +101,48 @@ void
 DramChannel::enqueue(const MemRequest &req)
 {
     vksim_assert(canAccept());
+    settle();
     queue_.push_back(decode(req));
+    // Nothing else changed, so the cached minimum only needs the new
+    // request's own issue tick.
+    nextEvent_ = perfect_ ? 0
+                          : std::min(nextEvent_,
+                                     earliestIssue(queue_.back()));
+}
+
+void
+DramChannel::settle()
+{
+    if (settledAt_ == nowDram_)
+        return;
+    // Every skipped tick t in (settledAt_, nowDram_] saw the state the
+    // last real tick left (no event fell in between), so each counter
+    // adds the number of those ticks its sampleBanks() condition held
+    // on: always, while anything is queued or in flight, and while
+    // t < readyAt (a busy bank) or t < busFreeAt_ (a busy bus). A
+    // counter is touched only when it grows, as the per-tick path does.
+    const std::uint64_t from = settledAt_;
+    const std::uint64_t span = nowDram_ - from;
+    auto ticks_before = [&](std::uint64_t until) -> std::uint64_t {
+        return until > from + 1 ? std::min(until - 1 - from, span) : 0;
+    };
+    stats_->counter(slots_.cycles).inc(span);
+    if (!queue_.empty() || !inflight_.empty())
+        stats_->counter(slots_.pending).inc(span);
+    std::uint64_t blp_samples = 0;
+    std::uint64_t blp_sum = 0;
+    for (const Bank &b : banks_) {
+        const std::uint64_t busy = ticks_before(b.readyAt);
+        blp_samples = std::max(blp_samples, busy);
+        blp_sum += busy;
+    }
+    if (blp_sum > 0) {
+        stats_->counter(slots_.blpSamples).inc(blp_samples);
+        stats_->counter(slots_.blpSum).inc(blp_sum);
+    }
+    if (const std::uint64_t busy = ticks_before(busFreeAt_))
+        stats_->counter(slots_.busBusy).inc(busy);
+    settledAt_ = nowDram_;
 }
 
 bool
@@ -129,7 +189,9 @@ DramChannel::sampleBanks()
 void
 DramChannel::cycle(Cycle now)
 {
+    settle();
     ++nowDram_;
+    settledAt_ = nowDram_;
     stats_->counter(slots_.cycles).inc();
 
     if (config_.tRefi > 0)
@@ -148,9 +210,6 @@ DramChannel::cycle(Cycle now)
     }
 
     const bool any_ready = sampleBanks();
-    if (queue_.empty())
-        return;
-
     if (perfect_) {
         // Zero-latency DRAM: service everything immediately.
         while (!queue_.empty()) {
@@ -159,13 +218,16 @@ DramChannel::cycle(Cycle now)
             stats_->counter(slots_.requests).inc();
             queue_.pop_front();
         }
-        return;
+    } else if (any_ready && !queue_.empty()) {
+        // Otherwise no bank can take a column command: nothing issues.
+        issue(now);
     }
+    nextEvent_ = earliestEvent();
+}
 
-    // No bank can take a column command this tick: nothing can issue.
-    if (!any_ready)
-        return;
-
+void
+DramChannel::issue(Cycle now)
+{
     // FR-FCFS in one pass: the oldest ready row hit, else the oldest
     // ready request — the first ready request seen, since a ready hit
     // ahead of it would have ended the scan.
@@ -222,44 +284,6 @@ DramChannel::cycle(Cycle now)
     inflight_.push_back({q.req, data_end});
 }
 
-void
-DramChannel::tickQuiescent()
-{
-    // Must mirror cycle()'s per-tick counters exactly. The retire loop
-    // and the FR-FCFS scan are omitted because the caller proved
-    // (nextEventCycle()) they would find nothing — on such a tick
-    // cycle() is this and a scan that picks no request.
-    ++nowDram_;
-    stats_->counter(slots_.cycles).inc();
-    sampleBanks();
-}
-
-Cycle
-DramChannel::nextEventCycle() const
-{
-    if (perfect_)
-        return queue_.empty() ? kNoPendingEvent : nowDram_ + 1;
-    Cycle next = kNoPendingEvent;
-    // Refresh mutates digested bank state, so the tREFI boundary is an
-    // event even on an otherwise empty channel: idle-skip must run a
-    // real cycle exactly there or a fast-forwarded run would process
-    // the refresh late with different readyAt stamps.
-    if (nextRefreshAt_ != 0)
-        next = std::min(next,
-                        std::max<Cycle>(nextRefreshAt_, nowDram_ + 1));
-    // Soonest in-flight retirement (transfers already due fire on the
-    // next tick, because retirement happens after ++nowDram_).
-    for (const Inflight &f : inflight_)
-        next = std::min(next, std::max<Cycle>(f.doneAt, nowDram_ + 1));
-    // Soonest tick a queued request clears its bank, column-window and
-    // activate constraints for FR-FCFS (exact between real cycles; see
-    // earliestIssue()).
-    for (const Queued &q : queue_)
-        next = std::min(next,
-                        std::max<Cycle>(earliestIssue(q), nowDram_ + 1));
-    return next;
-}
-
 bool
 DramChannel::hasRequest(Addr sector, bool write) const
 {
@@ -311,6 +335,13 @@ DramChannel::checkInvariants(check::Reporter &rep,
                        "transfer done at " + std::to_string(f.doneAt)
                            + " still in flight at DRAM cycle "
                            + std::to_string(nowDram_));
+    // The cached event must be what a fresh scan finds, or the lazy
+    // tick would skip (or needlessly run) a real one.
+    if (nextEvent_ != earliestEvent())
+        rep.report(path + ".next_event",
+                   "cached event tick " + std::to_string(nextEvent_)
+                       + " but the channel's next event is at "
+                       + std::to_string(earliestEvent()));
 }
 
 std::uint64_t
@@ -448,6 +479,9 @@ DramChannel::loadState(serial::Reader &r)
         g = r.u64();
     nextActivateAt_ = r.u64();
     nextRefreshAt_ = r.u64();
+    // The snapshot's statistics were settled when it was written.
+    settledAt_ = nowDram_;
+    nextEvent_ = earliestEvent();
 }
 
 // --- MemFabric ------------------------------------------------------------
@@ -475,13 +509,6 @@ MemFabric::partitionOf(Addr addr) const
     if (config_.interleave == L2Interleave::XorFold)
         block ^= (block >> 7) ^ (block >> 13);
     return static_cast<unsigned>(block % config_.numPartitions);
-}
-
-bool
-MemFabric::canAccept(unsigned sm) const
-{
-    // Simple per-partition inbound queue bound.
-    return true;
 }
 
 void
@@ -590,7 +617,7 @@ MemFabric::cycle(Cycle now)
     unsigned ticks = dramClock_.advance();
     for (unsigned t = 0; t < ticks; ++t) {
         for (Partition &p : partitions_) {
-            p.dram->cycle(now);
+            p.dram->tick(now);
             for (const MemRequest &req : p.dram->completed()) {
                 // Fill the L2 and answer every merged miss.
                 std::vector<std::uint64_t> targets =
@@ -630,7 +657,8 @@ MemFabric::quiescentCycle(Cycle now)
         return false;
 
     // Every DRAM tick that would land in this core cycle must be event
-    // free on every channel (no retirement, no issuable request).
+    // free on every channel (no refresh, retirement or issuable
+    // request): the same test DramChannel::tick() applies per tick.
     unsigned ticks = dramClock_.peek();
     if (ticks > 0) {
         for (const Partition &p : partitions_) {
@@ -641,7 +669,7 @@ MemFabric::quiescentCycle(Cycle now)
         }
     }
 
-    // Commit: advance the clock crossing and replay the counters.
+    // Commit: advance the clock crossing; settle() replays the counters.
     unsigned committed = dramClock_.advance();
     for (unsigned t = 0; t < committed; ++t)
         for (Partition &p : partitions_)
@@ -749,8 +777,23 @@ MemFabric::stateDigest(Cycle now) const
 }
 
 void
-MemFabric::saveState(serial::Writer &w) const
+MemFabric::settleChannels()
 {
+    for (Partition &p : partitions_)
+        p.dram->settle();
+}
+
+StatGroup &
+MemFabric::dramStats()
+{
+    settleChannels();
+    return dramStats_;
+}
+
+void
+MemFabric::saveState(serial::Writer &w)
+{
+    settleChannels();
     w.u64(partitions_.size());
     for (const Partition &p : partitions_) {
         p.l2->saveState(w);

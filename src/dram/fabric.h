@@ -14,6 +14,7 @@
 #ifndef VKSIM_DRAM_FABRIC_H
 #define VKSIM_DRAM_FABRIC_H
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -64,8 +65,9 @@ struct DramConfig
     /**
      * Refresh: every tREFI ticks all banks close their rows and are
      * unavailable for tRFC ticks (0 = no refresh). Refresh is processed
-     * by real cycle() calls only; nextEventCycle() reports the refresh
-     * tick so idle-skip never silently crosses one.
+     * by real cycle() calls only; the tREFI boundary is a channel event
+     * (nextEventCycle()), so a lazily ticked channel runs a real tick
+     * exactly there and never crosses one in a skipped span.
      */
     unsigned tRefi = 0;
     unsigned tRfc = 0;
@@ -111,33 +113,64 @@ class DramChannel : public ClockedUnit
     void enqueue(const MemRequest &req);
 
     /**
-     * One DRAM-clock tick; completed reads land in completed().
+     * One real DRAM-clock tick; completed reads land in completed().
      * `now` is the *core*-clock cycle, used only to timestamp timeline
-     * events so DRAM tracks share the trace's clock.
+     * events so DRAM tracks share the trace's clock. Calling it on every
+     * tick is the always-tick reference the lazy path must reproduce.
      */
     void cycle(Cycle now) override;
+
+    /**
+     * One DRAM-clock tick, lazily: a real cycle() when an event is due
+     * on it, else tickQuiescent().
+     */
+    void
+    tick(Cycle now)
+    {
+        if (nextEvent_ <= nowDram_ + 1)
+            cycle(now);
+        else
+            tickQuiescent();
+    }
 
     /** Reads retired by cycle() calls since the last clearCompleted(). */
     const std::vector<MemRequest> &completed() const { return completed_; }
     void clearCompleted() { completed_.clear(); }
 
     /**
-     * A counter-only tick: advances the DRAM clock and the per-cycle
-     * utilization statistics exactly as cycle() would, without the
-     * scheduler scan. Only legal when the caller has proved (via
-     * nextEventCycle()) that a real tick could neither retire a
-     * transfer nor issue a queued request — a "quiescent" tick is then
-     * bit-identical to a real one.
+     * A skipped tick: advances only the DRAM clock. Only legal when no
+     * event is due on it (nextEventCycle() > dramNow() + 1): a real tick
+     * would then neither refresh, retire a transfer nor issue a queued
+     * request, so its only effect is the per-tick statistics, which
+     * settle() applies later in closed form.
      */
-    void tickQuiescent();
+    void tickQuiescent() { ++nowDram_; }
+
+    /**
+     * Apply the per-tick counters (cycles, cycles_with_pending,
+     * blp_samples, blp_sum, data_bus_busy) of every tick skipped since
+     * the last real tick or settle(), in O(banks). Runs before each
+     * state change (cycle(), enqueue()); readers of the shared DRAM
+     * StatGroup call it (MemFabric does, in dramStats() and
+     * saveState()) to see the counters an always-ticked channel holds.
+     */
+    void settle();
 
     /**
      * ClockedUnit: earliest DRAM tick (this channel's own clock) at
-     * which state can change — the soonest in-flight retirement or the
-     * soonest tick a queued request finds its bank ready. Requests and
-     * retirements already due fire on the *next* tick (nowDram_ + 1).
+     * which state can change — the next refresh, the soonest in-flight
+     * retirement or the soonest tick a queued request finds its bank
+     * ready. Events already due fire on the *next* tick (nowDram_ + 1).
+     * O(1): the minimum is cached after each real tick, enqueue() and
+     * loadState().
      */
-    Cycle nextEventCycle() const override;
+    Cycle
+    nextEventCycle() const override
+    {
+        return nextEvent_ == kNoPendingEvent
+                   ? kNoPendingEvent
+                   : std::max<Cycle>(nextEvent_, nowDram_ + 1);
+    }
 
     /** Current tick of this channel's clock (nextEventCycle's frame). */
     std::uint64_t dramNow() const { return nowDram_; }
@@ -212,11 +245,17 @@ class DramChannel : public ClockedUnit
     /** Earliest tick request `q` could issue, given current bank, CCD,
      *  RRD and row state (exact while the channel state is frozen). */
     std::uint64_t earliestIssue(const Queued &q) const;
+    /** The soonest refresh, retirement or issue tick, unclamped (what
+     *  nextEvent_ caches; kNoPendingEvent when there is none). */
+    std::uint64_t earliestEvent() const;
     void processRefresh();
+    /** FR-FCFS: issue the oldest ready row hit, else the oldest ready
+     *  request, to its bank (cycle()'s scheduler step). */
+    void issue(Cycle now);
     /**
-     * The per-tick bank pass shared by cycle() and tickQuiescent():
-     * counts the pending / bank-parallelism / data-bus samples and sets
-     * issue_. Returns true when some bank can take a column command.
+     * The per-tick bank pass of cycle(): counts the pending /
+     * bank-parallelism / data-bus samples and sets issue_. Returns true
+     * when some bank can take a column command.
      */
     bool sampleBanks();
 
@@ -239,6 +278,10 @@ class DramChannel : public ClockedUnit
     std::vector<std::uint64_t> groupNextColumnAt_;
     std::uint64_t nextActivateAt_ = 0; ///< tRRD window
     std::uint64_t nextRefreshAt_ = 0;  ///< next tREFI boundary (0 = off)
+    /** Derived, never serialized: earliestEvent() as of the last state
+     *  change, and the last tick whose counters are applied. */
+    std::uint64_t nextEvent_ = kNoPendingEvent;
+    std::uint64_t settledAt_ = 0;
     TimelineShard *timeline_ = nullptr;
     unsigned channelId_ = 0;
 
@@ -265,9 +308,6 @@ class MemFabric : public ClockedUnit
 {
   public:
     MemFabric(const FabricConfig &config, unsigned num_sms);
-
-    /** Space in the injection path for SM `sm`? */
-    bool canAccept(unsigned sm) const;
 
     /** Inject a request (an L1 / RT-cache miss or a write-through). */
     void inject(const MemRequest &req, Cycle now);
@@ -322,8 +362,8 @@ class MemFabric : public ClockedUnit
     const ClockDomain &dramClock() const { return dramClock_; }
 
     StatGroup &l2Stats(unsigned partition);
-    StatGroup &dramStats() { return dramStats_; }
-    const StatGroup &dramStats() const { return dramStats_; }
+    /** The shared DRAM statistics, every channel settled first. */
+    StatGroup &dramStats();
 
     /** Aggregate L2 counter over all slices. */
     std::uint64_t l2Total(const std::string &counter) const;
@@ -360,9 +400,11 @@ class MemFabric : public ClockedUnit
      * DRAM channel, inbound queue and pending-miss table (written sorted
      * by cookie), the per-SM response queues *including* drained-but-
      * untrimmed entries plus their cursors, the core→DRAM clock-crossing
-     * accumulator (exact FP bits), and the shared DRAM statistics.
+     * accumulator (exact FP bits), and the shared DRAM statistics
+     * (every channel settled first, so the restored channels start
+     * with nothing pending).
      */
-    void saveState(serial::Writer &w) const;
+    void saveState(serial::Writer &w);
     void loadState(serial::Reader &r);
 
   private:
@@ -378,6 +420,7 @@ class MemFabric : public ClockedUnit
     };
 
     unsigned partitionOf(Addr addr) const;
+    void settleChannels();
     void partitionCycle(Partition &p, Cycle now);
     void respond(const MemRequest &req, Cycle now);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/log.h"
+#include "util/simerror.h"
 #include "vptx/exec.h"
 #include "vptx/rt_runtime.h"
 #include "vptx/rtstack.h"
@@ -54,15 +55,12 @@ RtUnit::canAccept() const
 unsigned
 RtUnit::activeRays() const
 {
+    // lanesLive counts exactly the lanes neither Idle nor Done
+    // (checkInvariants ties the two together).
     unsigned n = 0;
-    for (const WarpEntry &e : entries_) {
-        if (!e.valid)
-            continue;
-        for (unsigned lane = 0; lane < kWarpSize; ++lane)
-            if (e.lanes[lane].status != LaneStatus::Idle
-                && e.lanes[lane].status != LaneStatus::Done)
-                ++n;
-    }
+    for (const WarpEntry &e : entries_)
+        if (e.valid)
+            n += e.lanesLive;
     return n;
 }
 
@@ -262,6 +260,7 @@ RtUnit::opSchedule(Cycle now)
             continue;
         ls.status = LaneStatus::InOp;
         ls.opDoneAt = now + latencyOf(ls.nodeType);
+        opDeadline_ = std::min(opDeadline_, ls.opDoneAt);
         switch (ls.nodeType) {
           case NodeType::Internal:
             stats_->counter(slots_.opsBox).inc();
@@ -282,14 +281,22 @@ RtUnit::opSchedule(Cycle now)
 void
 RtUnit::finishOps(Cycle now)
 {
+    // The full pass: retire every due operation and recompute the
+    // deadline over the lanes still (or newly) in one.
+    Cycle deadline = kNoPendingEvent;
     for (unsigned slot = 0; slot < entries_.size(); ++slot) {
         WarpEntry &entry = entries_[slot];
         if (!entry.valid)
             continue;
         for (unsigned lane = 0; lane < kWarpSize; ++lane) {
             LaneState &ls = entry.lanes[lane];
-            if (ls.opDoneAt > now)
+            if (ls.status != LaneStatus::InOp
+                && ls.status != LaneStatus::InAnyHit)
                 continue;
+            if (ls.opDoneAt > now) {
+                deadline = std::min(deadline, ls.opDoneAt);
+                continue;
+            }
             RayTraversal *trav = entry.state->ray(lane);
             if (ls.status == LaneStatus::InAnyHit) {
                 // Suspension expired: apply the recorded verdict, account
@@ -312,8 +319,6 @@ RtUnit::finishOps(Cycle now)
                 }
                 continue;
             }
-            if (ls.status != LaneStatus::InOp)
-                continue;
             trav->step();
             if (trav->anyHitSuspended()) {
                 // Mid-traversal any-hit: run the shader functionally now
@@ -327,6 +332,7 @@ RtUnit::finishOps(Cycle now)
                 ls.status = LaneStatus::InAnyHit;
                 ls.opDoneAt = now + config_.anyHitBaseLatency
                               + config_.anyHitPerInstr * run.instructions;
+                deadline = std::min(deadline, ls.opDoneAt);
                 ++anyhitSuspended_;
                 stats_->counter(slots_.anyhitSuspended).inc();
                 stats_->counter(slots_.anyhitInstructions)
@@ -343,6 +349,7 @@ RtUnit::finishOps(Cycle now)
         if (!entry.inWriteback && entry.lanesLive == 0)
             startWriteback(entry, slot, now);
     }
+    opDeadline_ = deadline;
 }
 
 void
@@ -414,6 +421,9 @@ RtUnit::pumpWriteback(Cycle now)
 void
 RtUnit::cycle(Cycle now)
 {
+    // Every step below is a no-op on a quiescent unit.
+    if (quiescent())
+        return;
     if (liveEntries_ > 0) {
         stats_->counter(slots_.busyCycles).inc();
         stats_->counter(slots_.activeRayCycles).inc(activeRays());
@@ -421,7 +431,11 @@ RtUnit::cycle(Cycle now)
         stats_->counter(slots_.occupiedWarpCycles).inc(liveEntries_);
     }
 
-    finishOps(now);
+    // Between deadlines no operation can finish, and every site that
+    // empties a warp's live lanes starts its writeback itself, so the
+    // skipped pass would change nothing.
+    if (opDeadline_ <= now)
+        finishOps(now);
     opSchedule(now);
     memSchedule(now);
 
@@ -479,6 +493,7 @@ RtUnit::checkInvariants(check::Reporter &rep, const std::string &path,
             ++pending[slot][lane];
 
     unsigned live = 0;
+    unsigned live_lanes = 0;
     std::uint64_t in_any_hit = 0;
     for (unsigned slot = 0; slot < entries_.size(); ++slot) {
         const WarpEntry &e = entries_[slot];
@@ -524,6 +539,14 @@ RtUnit::checkInvariants(check::Reporter &rep, const std::string &path,
                            "operation finished at cycle "
                                + std::to_string(ls.opDoneAt)
                                + " but the lane is still in it");
+            if ((ls.status == LaneStatus::InOp
+                 || ls.status == LaneStatus::InAnyHit)
+                && opDeadline_ > ls.opDoneAt)
+                rep.report(lane_path(slot, lane),
+                           "operation ends at cycle "
+                               + std::to_string(ls.opDoneAt)
+                               + " before the unit's cached deadline "
+                               + std::to_string(opDeadline_));
             const RayTraversal *trav = e.state->ray(lane);
             bool suspended = in_mask && trav && trav->anyHitSuspended();
             if (suspended != (ls.status == LaneStatus::InAnyHit))
@@ -538,7 +561,17 @@ RtUnit::checkInvariants(check::Reporter &rep, const std::string &path,
                        "lanesLive=" + std::to_string(e.lanesLive)
                            + " but " + std::to_string(lanes_live)
                            + " lanes are in a live status");
+        // finishOps() is skipped between deadlines, so a warp with no
+        // live lane must already be writing back.
+        if (e.lanesLive == 0 && !e.inWriteback)
+            rep.report(path + ".slot" + std::to_string(slot),
+                       "no live lane left but no writeback started");
+        live_lanes += lanes_live;
     }
+    if (activeRays() != live_lanes)
+        rep.report(path, "activeRays=" + std::to_string(activeRays())
+                             + " but " + std::to_string(live_lanes)
+                             + " lanes are in a live status");
     if (live != liveEntries_)
         rep.report(path, "liveEntries=" + std::to_string(liveEntries_)
                              + " but " + std::to_string(live)
@@ -745,67 +778,139 @@ RtUnit::loadState(
     serial::Reader &r,
     const std::function<vptx::Warp *(std::uint32_t)> &warp_of)
 {
+    auto reject = [](const std::string &why) {
+        throw SimError("RT unit snapshot: " + why);
+    };
+    // A count is bounded by the bytes left before anything is sized by
+    // it: each element takes at least `bytes_each` more bytes.
+    auto count = [&](std::uint64_t bytes_each, const char *what) {
+        std::uint64_t n = r.u64();
+        if (n > r.remaining() / bytes_each)
+            reject(std::to_string(n) + " " + what + " in "
+                   + std::to_string(r.remaining()) + " bytes");
+        return n;
+    };
+    // A (slot, lane) pair must name a lane of a resident warp.
+    auto target = [&] {
+        unsigned slot = r.u32();
+        unsigned lane = r.u32();
+        if (slot >= entries_.size() || lane >= kWarpSize
+            || !entries_[slot].valid)
+            reject("target (" + std::to_string(slot) + ","
+                   + std::to_string(lane) + ") is not a lane of a "
+                   "resident warp");
+        return std::make_pair(slot, lane);
+    };
+
     std::uint64_t num_entries = r.u64();
-    vksim_assert(num_entries == entries_.size());
+    if (num_entries != entries_.size())
+        reject(std::to_string(num_entries) + " warp-buffer entries, the "
+               "unit has " + std::to_string(entries_.size()));
+    unsigned valid_entries = 0;
+    opDeadline_ = kNoPendingEvent;
     for (unsigned slot = 0; slot < entries_.size(); ++slot) {
         WarpEntry &e = entries_[slot];
         e = WarpEntry{};
         e.valid = r.b();
         if (!e.valid)
             continue;
+        ++valid_entries;
         e.warp = warp_of(r.u32());
         e.splitId = r.i32();
         e.mask = r.u32();
         // Re-link into the freshly restored warp exactly as submit() does.
-        e.state = &e.warp->pendingTraverses.at(e.splitId);
+        auto split = e.warp->pendingTraverses.find(e.splitId);
+        if (split == e.warp->pendingTraverses.end())
+            reject("slot " + std::to_string(slot) + " names split "
+                   + std::to_string(e.splitId)
+                   + ", which its warp is not traversing");
+        e.state = &split->second;
+        unsigned lanes_live = 0;
         for (unsigned lane = 0; lane < kWarpSize; ++lane) {
             LaneState &ls = e.lanes[lane];
-            ls.status = static_cast<LaneStatus>(r.u8());
+            const std::uint8_t status = r.u8();
+            if (status > static_cast<std::uint8_t>(LaneStatus::Done))
+                reject("lane status " + std::to_string(status));
+            ls.status = static_cast<LaneStatus>(status);
             ls.chunksOutstanding = r.u32();
             ls.opDoneAt = r.u64();
-            ls.nodeType = static_cast<NodeType>(r.u32());
+            const std::uint32_t node_type = r.u32();
+            if (node_type
+                > static_cast<std::uint32_t>(NodeType::ProceduralLeaf))
+                reject("node type " + std::to_string(node_type));
+            ls.nodeType = static_cast<NodeType>(node_type);
             ls.anyHitCommit = r.b();
             e.sinks[lane].unit = this;
             e.sinks[lane].slot = slot;
             e.sinks[lane].lane = lane;
             RayTraversal *trav = e.state->ray(lane);
-            if (((e.mask >> lane) & 1u) && trav)
+            const bool has_ray = ((e.mask >> lane) & 1u) && trav;
+            if (has_ray)
                 trav->setSink(&e.sinks[lane]);
+            if (ls.status == LaneStatus::Idle
+                || ls.status == LaneStatus::Done)
+                continue;
+            // A live lane drives its traversal every step.
+            if (!has_ray)
+                reject("slot " + std::to_string(slot) + " lane "
+                       + std::to_string(lane)
+                       + " is live without a traversal");
+            if ((ls.status == LaneStatus::WaitingMem)
+                != (ls.chunksOutstanding > 0))
+                reject("slot " + std::to_string(slot) + " lane "
+                       + std::to_string(lane) + " waits on "
+                       + std::to_string(ls.chunksOutstanding)
+                       + " chunks in status "
+                       + std::to_string(status));
+            if ((ls.status == LaneStatus::InAnyHit)
+                != trav->anyHitSuspended())
+                reject("slot " + std::to_string(slot) + " lane "
+                       + std::to_string(lane) + " disagrees with its "
+                       "traversal on an any-hit suspension");
+            if (ls.status == LaneStatus::InOp
+                || ls.status == LaneStatus::InAnyHit)
+                opDeadline_ = std::min(opDeadline_, ls.opDoneAt);
+            ++lanes_live;
         }
         e.submitTime = r.u64();
         e.lanesLive = r.u32();
-        std::uint64_t wb = r.u64();
+        if (e.lanesLive != lanes_live)
+            reject("slot " + std::to_string(slot) + " records "
+                   + std::to_string(e.lanesLive) + " live lanes, its "
+                   "lanes hold " + std::to_string(lanes_live));
+        std::uint64_t wb = count(8, "writeback sectors");
         for (std::uint64_t i = 0; i < wb; ++i)
             e.writebackQueue.push_back(r.u64());
         e.inWriteback = r.b();
+        if (e.lanesLive == 0 && !e.inWriteback)
+            reject("slot " + std::to_string(slot)
+                   + " has no live lane and no writeback");
         e.spillWrites = r.u64();
         e.deferredWrites = r.u64();
     }
     memQueue_.clear();
     std::uint64_t num_mem = r.u64();
+    if (num_mem > config_.memQueueSize)
+        reject(std::to_string(num_mem) + " memory-queue entries, the "
+               "queue holds " + std::to_string(config_.memQueueSize));
     for (std::uint64_t i = 0; i < num_mem; ++i) {
         MemQueueEntry q;
         q.sector = r.u64();
-        q.targets.resize(r.u64());
-        for (auto &[slot, lane] : q.targets) {
-            slot = r.u32();
-            lane = r.u32();
-        }
+        q.targets.resize(count(8, "memory-queue targets"));
+        for (auto &t : q.targets)
+            t = target();
         memQueue_.push_back(std::move(q));
     }
     responseFifo_.clear();
-    std::uint64_t num_fifo = r.u64();
-    for (std::uint64_t i = 0; i < num_fifo; ++i) {
-        unsigned slot = r.u32();
-        unsigned lane = r.u32();
-        responseFifo_.emplace_back(slot, lane);
-    }
+    std::uint64_t num_fifo = count(8, "response-FIFO entries");
+    for (std::uint64_t i = 0; i < num_fifo; ++i)
+        responseFifo_.push_back(target());
     writeQueue_.clear();
-    std::uint64_t num_writes = r.u64();
+    std::uint64_t num_writes = count(8, "queued writes");
     for (std::uint64_t i = 0; i < num_writes; ++i)
         writeQueue_.push_back(r.u64());
     completions_.clear();
-    std::uint64_t num_done = r.u64();
+    std::uint64_t num_done = count(8, "completions");
     for (std::uint64_t i = 0; i < num_done; ++i) {
         Completion c;
         c.warp = warp_of(r.u32());
@@ -813,19 +918,27 @@ RtUnit::loadState(
         completions_.push_back(c);
     }
     inflight_.clear();
-    std::uint64_t num_inflight = r.u64();
+    std::uint64_t num_inflight = count(16, "in-flight reads");
     for (std::uint64_t i = 0; i < num_inflight; ++i) {
         std::uint64_t tag = r.u64();
+        if (inflight_.count(tag))
+            reject("in-flight read tag " + std::to_string(tag)
+                   + " appears twice");
         auto &targets = inflight_[tag];
-        targets.resize(r.u64());
-        for (auto &[slot, lane] : targets) {
-            slot = r.u32();
-            lane = r.u32();
-        }
+        targets.resize(count(8, "in-flight read targets"));
+        for (auto &t : targets)
+            t = target();
     }
     nextTag_ = r.u64();
     lastScheduled_ = r.i32();
+    if (lastScheduled_ < -1
+        || lastScheduled_ >= static_cast<int>(entries_.size()))
+        reject("greedy warp slot " + std::to_string(lastScheduled_));
     liveEntries_ = r.u32();
+    if (liveEntries_ != valid_entries)
+        reject("records " + std::to_string(liveEntries_)
+               + " resident warps, " + std::to_string(valid_entries)
+               + " slots are valid");
     anyhitSuspended_ = r.u64();
     anyhitCommitted_ = r.u64();
     anyhitIgnored_ = r.u64();

@@ -124,7 +124,8 @@ class RtUnit : public ClockedUnit
         return quiescent() ? kNoPendingEvent : 0;
     }
 
-    /** Rays still traversing right now (Fig. 18 occupancy). */
+    /** Rays still traversing right now (Fig. 18 occupancy): the sum of
+     *  the resident warps' live-lane counts. */
     unsigned activeRays() const;
 
     /** Optional warp-latency histogram (paper Fig. 13). */
@@ -138,9 +139,11 @@ class RtUnit : public ClockedUnit
 
     /**
      * Validate lane/queue bookkeeping at a cycle barrier: live-entry and
-     * live-lane counts, lane-status/chunk consistency, the conservation
-     * of outstanding chunks across the Memory Access Queue and in-flight
-     * reads, queue bounds, and Response-FIFO referential integrity.
+     * live-lane counts (per warp, and summed as activeRays() reports
+     * them), lane-status/chunk consistency, the conservation of
+     * outstanding chunks across the Memory Access Queue and in-flight
+     * reads, queue bounds, Response-FIFO referential integrity, and the
+     * cached operation deadline against every lane in an operation.
      */
     void checkInvariants(check::Reporter &rep, const std::string &path,
                          Cycle now) const;
@@ -155,7 +158,10 @@ class RtUnit : public ClockedUnit
      * its slot at save time, `warp_of` resolves the slot back to the
      * freshly restored warp at load time. loadState re-links each
      * entry's TraverseState pointer and per-lane traversal sinks exactly
-     * the way submit() wires them.
+     * the way submit() wires them, rebuilds the derived operation
+     * deadline from the decoded lanes, and rejects malformed bytes
+     * (counts, indices, enum values, or bookkeeping that disagrees with
+     * the decoded lanes) with SimError.
      */
     void saveState(
         serial::Writer &w,
@@ -237,6 +243,10 @@ class RtUnit : public ClockedUnit
 
     std::vector<WarpEntry> entries_;
     unsigned liveEntries_ = 0;
+    /// Derived, never serialized: the earliest opDoneAt of any InOp or
+    /// InAnyHit lane (kNoPendingEvent when none). finishOps() runs only
+    /// once it is due and recomputes it; opSchedule() lowers it.
+    Cycle opDeadline_ = kNoPendingEvent;
     int lastScheduled_ = -1; ///< GTO: stick to this warp slot
     std::deque<MemQueueEntry> memQueue_;
     std::deque<std::pair<unsigned, unsigned>> responseFifo_;

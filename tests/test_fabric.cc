@@ -399,6 +399,7 @@ TEST(DramTimingTest, IdleSkipMatchesLockStepUnderModernTimings)
         lock.clearCompleted();
         skip.clearCompleted();
     }
+    skip.settle(); // apply the skipped ticks' counters
     for (const char *counter :
          {"cycles", "cycles_with_pending", "requests", "row_hits",
           "row_misses", "refreshes", "data_bus_busy", "blp_samples",
@@ -888,8 +889,9 @@ tagsOf(const std::vector<MemRequest> &done)
  * writes, runs of consecutive sectors (row hits), scattered addresses
  * over a few rows per bank and over many, and bursts that fill the
  * queue. The channel under test follows the idle-skip protocol
- * (tickQuiescent() whenever nextEventCycle() proves the tick event-free)
- * and, halfway through, is saved and restored into a fresh channel.
+ * (tickQuiescent() whenever nextEventCycle() proves the tick event-free,
+ * settle() before its counters are compared) and, halfway through, is
+ * saved and restored into a fresh channel.
  */
 void
 expectMatchesTwoPass(const DramConfig &cfg, std::uint64_t seed,
@@ -942,6 +944,7 @@ expectMatchesTwoPass(const DramConfig &cfg, std::uint64_t seed,
             << "tick " << t;
         ASSERT_EQ(ch->stateDigest(), ref.stateDigest()) << "tick " << t;
         ASSERT_EQ(snapshotOf(*ch), snapshotOf(ref)) << "tick " << t;
+        ch->settle();
         ASSERT_EQ(stats->dump(), ref_stats.dump()) << "tick " << t;
         ch->clearCompleted();
         ref.clearCompleted();
@@ -993,6 +996,141 @@ TEST(DramSchedulerTest, DecodedScanMatchesTwoPassOracle)
     {
         SCOPED_TRACE("tight windows, frequent refresh");
         expectMatchesTwoPass(tight, 3, 20000);
+    }
+}
+
+/**
+ * The lazy-tick oracle: a channel advanced with tick() — a real cycle()
+ * only when an event is due, otherwise a skipped tick whose counters
+ * settle() applies later in closed form — against one that runs cycle()
+ * on every tick, both fed one PCG32 request stream that alternates dense
+ * phases with long sparse ones. Completions and the state digest are
+ * compared on every tick; the lazy channel is settled and read (stats
+ * dump, saveState bytes, invariant sweep) only at random ticks, so the
+ * settled spans vary from one tick to thousands. Halfway through, the
+ * lazy channel is saved and restored into a fresh one.
+ */
+void
+expectLazyMatchesAlwaysTick(const DramConfig &cfg, bool perfect,
+                            std::uint64_t seed, unsigned ticks)
+{
+    StatGroup ref_stats("dram");
+    DramChannel ref(cfg, perfect, &ref_stats);
+    auto stats = std::make_unique<StatGroup>("dram");
+    auto ch = std::make_unique<DramChannel>(cfg, perfect, stats.get());
+
+    Pcg32 rng(seed);
+    Pcg32 reads(seed ^ 0x9e3779b97f4a7c15ull);
+    Addr stream = 0;
+    std::uint64_t next_tag = 1;
+    unsigned skipped = 0;
+    unsigned settled_reads = 0;
+    for (unsigned t = 0; t < ticks; ++t) {
+        const bool dense = (t / 1500) % 2 == 0;
+        const std::uint32_t roll = rng.nextBelow(1000);
+        const unsigned arrivals = roll < (dense ? 30u : 1u) ? cfg.queueSize
+                                  : roll < (dense ? 450u : 6u)
+                                      ? 1 + rng.nextBelow(3)
+                                      : 0;
+        for (unsigned i = 0; i < arrivals; ++i) {
+            ASSERT_EQ(ch->canAccept(), ref.canAccept()) << "tick " << t;
+            if (!ch->canAccept())
+                break;
+            const std::uint32_t kind = rng.nextBelow(100);
+            if (kind < 50)
+                stream += kSectorBytes; // same-row run
+            else if (kind < 80)
+                stream = Addr(rng.nextBelow(1u << 14)) * kSectorBytes;
+            else
+                stream = Addr(rng.nextBelow(1u << 22)) * kSectorBytes;
+            MemRequest r;
+            r.addr = stream;
+            r.write = rng.nextBelow(4) == 0;
+            r.smId = rng.nextBelow(8);
+            r.tag = next_tag++;
+            ch->enqueue(r);
+            ref.enqueue(r);
+        }
+
+        if (ch->nextEventCycle() > ch->dramNow() + 1)
+            ++skipped;
+        ch->tick(t);
+        ref.cycle(t);
+
+        ASSERT_EQ(tagsOf(ch->completed()), tagsOf(ref.completed()))
+            << "tick " << t;
+        ASSERT_EQ(ch->stateDigest(), ref.stateDigest()) << "tick " << t;
+        ASSERT_EQ(ch->nextEventCycle(), ref.nextEventCycle())
+            << "tick " << t;
+        ch->clearCompleted();
+        ref.clearCompleted();
+
+        if (reads.nextBelow(500) == 0 || t + 1 == ticks) {
+            ++settled_reads;
+            ch->settle();
+            ASSERT_EQ(stats->dump(), ref_stats.dump()) << "tick " << t;
+            ASSERT_EQ(snapshotOf(*ch), snapshotOf(ref)) << "tick " << t;
+            check::Reporter rep(/*collect=*/true);
+            ch->checkInvariants(rep, "dram");
+            ASSERT_TRUE(rep.ok()) << rep.violations().front().message;
+        }
+
+        if (t == ticks / 2) {
+            ch->settle();
+            serial::Writer w;
+            ch->saveState(w);
+            stats->saveState(w);
+            auto fresh_stats = std::make_unique<StatGroup>("dram");
+            auto fresh = std::make_unique<DramChannel>(cfg, perfect,
+                                                       fresh_stats.get());
+            serial::Reader r(w.buffer());
+            fresh->loadState(r);
+            fresh_stats->loadState(r);
+            ASSERT_EQ(r.remaining(), 0u);
+            ch = std::move(fresh);
+            stats = std::move(fresh_stats);
+        }
+    }
+    // Both paths must have been exercised: long skipped spans and the
+    // traffic that ends them.
+    EXPECT_GT(skipped, ticks / 4);
+    EXPECT_GT(settled_reads, 10u);
+    EXPECT_GT(ref_stats.get("requests"), ticks / 50);
+}
+
+TEST(DramSchedulerTest, LazyTickMatchesAlwaysTickOracle)
+{
+    const GpuConfig baseline = baselineGpuConfig();
+    const GpuConfig modern =
+        applyMemoryVariant(baseline, MemoryVariant::Modern);
+    DramConfig tight = modernDram();
+    tight.banks = 8;
+    tight.rowBytes = 1024;
+    tight.bankGroups = 2;
+    tight.tCcdL = 5;
+    tight.tCcdS = 2;
+    tight.tRrd = 7;
+    tight.tRefi = 400;
+    tight.tRfc = 30;
+    {
+        SCOPED_TRACE("Table III baseline");
+        expectLazyMatchesAlwaysTick(baseline.fabric.dram, false, 11, 30000);
+    }
+    {
+        SCOPED_TRACE("modern: bank groups, tCCDL/S, tRRD, refresh");
+        expectLazyMatchesAlwaysTick(modern.fabric.dram, false, 12, 30000);
+    }
+    {
+        SCOPED_TRACE("tight windows, frequent refresh");
+        expectLazyMatchesAlwaysTick(tight, false, 13, 30000);
+    }
+    {
+        SCOPED_TRACE("perfectMem, baseline timing");
+        expectLazyMatchesAlwaysTick(baseline.fabric.dram, true, 14, 30000);
+    }
+    {
+        SCOPED_TRACE("perfectMem with frequent refresh");
+        expectLazyMatchesAlwaysTick(tight, true, 15, 30000);
     }
 }
 

@@ -7,11 +7,14 @@
  * the traversal state machines; the port controls timing.
  */
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "accel/serialize.h"
 #include "rtunit/rtunit.h"
 #include "scene/scenegen.h"
+#include "util/simerror.h"
 #include "vptx/exec.h"
 
 namespace vksim {
@@ -330,6 +333,214 @@ TEST(RtUnitTest, WritebackGeneratesHitStores)
     }
     // One hit-record store sector per participating ray, plus any spills.
     EXPECT_GE(fx.port.writes.size(), 8u);
+}
+
+TEST(RtUnitTest, DerivedBookkeepingHoldsAndSurvivesRestore)
+{
+    // The unit caches its operation deadline and sums live lanes instead
+    // of scanning them. A checked run must never see either disagree
+    // with the lanes, and a unit restored mid-traversal (which rebuilds
+    // the deadline from the decoded lanes) must finish exactly like an
+    // uninterrupted one.
+    RtFixture fx(8), ref(8);
+    auto unit = std::make_unique<RtUnit>(RtUnitConfig{}, &fx.ctx, &fx.stats);
+    unit->setMemPort(&fx.port);
+    RtUnit oracle = ref.makeUnit();
+    unit->submit(&fx.warp, 1, 0);
+    oracle.submit(&ref.warp, 1, 0);
+    constexpr Cycle kRestoreAt = 40;
+    Cycle now = 0;
+    for (; oracle.busy() && now < 100000; ++now) {
+        unit->cycle(now);
+        oracle.cycle(now);
+        fx.serviceAll(*unit, now);
+        ref.serviceAll(oracle, now);
+        unit->drainCompletions();
+        oracle.drainCompletions();
+        check::Reporter rep(/*collect=*/true);
+        unit->checkInvariants(rep, "rt", now);
+        ASSERT_TRUE(rep.ok()) << "cycle " << now << ": "
+                              << rep.violations().front().path << ": "
+                              << rep.violations().front().message;
+        ASSERT_EQ(unit->stateDigest(), oracle.stateDigest())
+            << "cycle " << now;
+        ASSERT_EQ(unit->activeRays(), oracle.activeRays());
+
+        if (now == kRestoreAt) {
+            ASSERT_TRUE(unit->busy());
+            serial::Writer w;
+            unit->saveState(w, [](const vptx::Warp *) { return 0u; });
+            auto restored =
+                std::make_unique<RtUnit>(RtUnitConfig{}, &fx.ctx, &fx.stats);
+            restored->setMemPort(&fx.port);
+            serial::Reader r(w.buffer());
+            restored->loadState(r, [&](std::uint32_t) { return &fx.warp; });
+            ASSERT_EQ(r.remaining(), 0u);
+            unit = std::move(restored);
+        }
+    }
+    EXPECT_GT(now, kRestoreAt);
+    EXPECT_FALSE(unit->busy()) << "restored unit did not finish with the "
+                                  "uninterrupted one";
+    EXPECT_EQ(fx.stats.dump(), ref.stats.dump());
+}
+
+// --- Snapshot decoding ------------------------------------------------------
+
+/**
+ * What craftRtUnit writes: slot 0 holds the fixture's warp (split 1,
+ * mask 0xff), lane 0 waits on one chunk that the Memory Access Queue's
+ * one sector targets, lanes 1..7 are Ready, and the other slots of the
+ * 8-entry warp buffer are empty.
+ */
+struct RtImage
+{
+    std::uint64_t entries = 8;
+    std::int32_t split = 1;
+    std::uint32_t mask = 0xff;
+    std::uint8_t lane1Status = 1; ///< Ready
+    std::uint32_t lane1NodeType = 0;
+    std::uint32_t lane0Chunks = 1;
+    std::uint32_t lanesLive = 8;
+    std::uint64_t writebacks = 0;
+    std::uint64_t queueTargets = 1;
+    std::pair<std::uint32_t, std::uint32_t> target{0, 0};
+    std::vector<std::uint64_t> inflightTags;
+    std::int32_t lastScheduled = 0;
+    std::uint32_t liveEntries = 1;
+};
+
+std::vector<std::uint8_t>
+craftRtUnit(const RtImage &img)
+{
+    serial::Writer w;
+    w.u64(img.entries);
+    for (std::uint64_t slot = 0; slot < img.entries; ++slot) {
+        w.b(slot == 0);
+        if (slot != 0)
+            continue;
+        w.u32(0); // SM warp slot
+        w.i32(img.split);
+        w.u32(img.mask);
+        for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+            const std::uint8_t status = lane == 0   ? 2 // WaitingMem
+                                        : lane == 1 ? img.lane1Status
+                                        : lane < 8  ? 1 // Ready
+                                                    : 0; // Idle
+            w.u8(status);
+            w.u32(lane == 0 ? img.lane0Chunks : 0);
+            w.u64(0); // opDoneAt
+            w.u32(lane == 1 ? img.lane1NodeType : 0);
+            w.b(false);
+        }
+        w.u64(0); // submit time
+        w.u32(img.lanesLive);
+        w.u64(img.writebacks);
+        for (std::uint64_t i = 0; i < std::min<std::uint64_t>(img.writebacks, 4);
+             ++i)
+            w.u64(0);
+        w.b(false); // in writeback
+        w.u64(0);   // spill writes
+        w.u64(0);   // deferred writes
+    }
+    w.u64(1); // Memory Access Queue: one sector
+    w.u64(0x1000);
+    w.u64(img.queueTargets);
+    w.u32(img.target.first);
+    w.u32(img.target.second);
+    w.u64(0); // Response FIFO
+    w.u64(0); // write queue
+    w.u64(0); // completions
+    w.u64(img.inflightTags.size());
+    for (std::uint64_t tag : img.inflightTags) {
+        w.u64(tag);
+        w.u64(0); // targets
+    }
+    w.u64(100); // next tag
+    w.i32(img.lastScheduled);
+    w.u32(img.liveEntries);
+    w.u64(0); // any-hit suspended
+    w.u64(0); // committed
+    w.u64(0); // ignored
+    return w.take();
+}
+
+TEST(RtUnitSnapshotTest, RejectsMalformedState)
+{
+    RtFixture fx(8);
+    auto load = [&](const std::vector<std::uint8_t> &bytes,
+                    RtUnit &unit) -> std::string {
+        serial::Reader r(bytes);
+        try {
+            unit.loadState(r, [&](std::uint32_t slot) -> vptx::Warp * {
+                if (slot != 0)
+                    throw SimError("warp slot " + std::to_string(slot)
+                                   + " is not resident");
+                return &fx.warp;
+            });
+        } catch (const SimError &e) {
+            return e.what();
+        }
+        return r.remaining() == 0 ? "" : "trailing bytes";
+    };
+    {
+        RtUnit unit = fx.makeUnit();
+        EXPECT_EQ(load(craftRtUnit(RtImage{}), unit), "");
+        EXPECT_EQ(unit.activeRays(), 8u);
+        check::Reporter rep(/*collect=*/true);
+        unit.checkInvariants(rep, "rt", 0);
+        EXPECT_TRUE(rep.ok()) << rep.violations().front().message;
+    }
+    auto expect_rejected = [&](const RtImage &img, const std::string &why) {
+        RtUnit unit = fx.makeUnit();
+        std::string err = load(craftRtUnit(img), unit);
+        EXPECT_NE(err.find(why), std::string::npos) << "got: " << err;
+    };
+    RtImage bad;
+    bad.entries = 9;
+    expect_rejected(bad, "9 warp-buffer entries, the unit has 8");
+    bad = RtImage{};
+    bad.split = 7;
+    expect_rejected(bad, "names split 7, which its warp is not traversing");
+    bad = RtImage{};
+    bad.lane1Status = 7;
+    expect_rejected(bad, "lane status 7");
+    bad = RtImage{};
+    bad.lane1NodeType = 5;
+    expect_rejected(bad, "node type 5");
+    bad = RtImage{};
+    bad.mask = 0x7f; // lane 7 is Ready but outside the split
+    expect_rejected(bad, "lane 7 is live without a traversal");
+    bad = RtImage{};
+    bad.lane0Chunks = 0;
+    expect_rejected(bad, "lane 0 waits on 0 chunks");
+    bad = RtImage{};
+    bad.lanesLive = 5;
+    expect_rejected(bad, "records 5 live lanes, its lanes hold 8");
+    bad = RtImage{};
+    bad.writebacks = 1ull << 60;
+    expect_rejected(bad, "writeback sectors in");
+    bad = RtImage{};
+    bad.queueTargets = 1ull << 40;
+    expect_rejected(bad, "memory-queue targets in");
+    bad = RtImage{};
+    bad.target = {8, 0};
+    expect_rejected(bad, "target (8,0) is not a lane of a resident warp");
+    bad = RtImage{};
+    bad.target = {0, 32};
+    expect_rejected(bad, "target (0,32) is not a lane of a resident warp");
+    bad = RtImage{};
+    bad.target = {3, 0};
+    expect_rejected(bad, "target (3,0) is not a lane of a resident warp");
+    bad = RtImage{};
+    bad.inflightTags = {5, 5};
+    expect_rejected(bad, "in-flight read tag 5 appears twice");
+    bad = RtImage{};
+    bad.lastScheduled = 8;
+    expect_rejected(bad, "greedy warp slot 8");
+    bad = RtImage{};
+    bad.liveEntries = 2;
+    expect_rejected(bad, "records 2 resident warps, 1 slots are valid");
 }
 
 } // namespace
