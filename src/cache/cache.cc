@@ -286,9 +286,10 @@ Cache::cancelMshr(Addr addr)
     mshrs_.erase(sectorAlign(addr));
 }
 
-std::vector<std::uint64_t>
-Cache::fill(Addr addr, Cycle now)
+void
+Cache::fill(Addr addr, Cycle now, std::vector<std::uint64_t> &targets)
 {
+    targets.clear();
     addr = sectorAlign(addr);
     auto it = mshrs_.find(addr);
     std::size_t merged = it == mshrs_.end() ? 0 : it->second.targets.size();
@@ -323,10 +324,9 @@ Cache::fill(Addr addr, Cycle now)
     }
 
     if (it == mshrs_.end())
-        return {};
-    std::vector<std::uint64_t> targets = std::move(it->second.targets);
+        return;
+    targets.assign(it->second.targets.begin(), it->second.targets.end());
     mshrs_.erase(it);
-    return targets;
 }
 
 std::uint64_t

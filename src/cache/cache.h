@@ -162,13 +162,23 @@ class Cache : public ClockedUnit
                         std::uint64_t tag, Cycle now);
 
     /**
-     * Fill for a previously missed sector. Returns the merged caller
-     * tags now satisfied (available after `latency`). Under the
-     * streaming reservation policy a fill whose MSHR merged fewer than
-     * `streamingThreshold` targets bypasses the tag array (the targets
-     * are still answered).
+     * Fill for a previously missed sector. Replaces the contents of
+     * `targets` with the merged caller tags now satisfied (available
+     * after `latency`), so a caller can reuse one buffer for every fill.
+     * Under the streaming reservation policy a fill whose MSHR merged
+     * fewer than `streamingThreshold` targets bypasses the tag array
+     * (the targets are still answered).
      */
-    std::vector<std::uint64_t> fill(Addr addr, Cycle now);
+    void fill(Addr addr, Cycle now, std::vector<std::uint64_t> &targets);
+
+    /** As above, returning the satisfied tags. */
+    std::vector<std::uint64_t>
+    fill(Addr addr, Cycle now)
+    {
+        std::vector<std::uint64_t> targets;
+        fill(addr, now, targets);
+        return targets;
+    }
 
     /**
      * Abandon the MSHR just allocated for `addr` (downstream refused the

@@ -63,6 +63,22 @@ Reporter::report(const std::string &path, const std::string &message)
     violations_.push_back({path, message, cycle_});
 }
 
+Cycle
+DigestTrace::cycleOf(std::size_t sample) const
+{
+    // The last frame beginning at or before `sample`; the first frame
+    // has no entry and begins at sample 0, cycle `start`.
+    std::size_t first = 0;
+    Cycle base = start;
+    for (const Frame &f : frames) {
+        if (f.firstSample > sample)
+            break;
+        first = f.firstSample;
+        base = f.cycleOffset;
+    }
+    return base + static_cast<Cycle>(sample - first) * period;
+}
+
 DigestTrace::Divergence
 DigestTrace::firstDivergence(const DigestTrace &other) const
 {
@@ -77,6 +93,29 @@ DigestTrace::firstDivergence(const DigestTrace &other) const
     }
     if (units == 0)
         return d; // both traces empty (digests were not recorded)
+    // A frame beginning at a different cycle means an earlier frame ran
+    // a different number of cycles: the traces diverge there at the
+    // latest, whatever the samples before it show.
+    Divergence frame_d;
+    for (std::size_t k = 0;
+         k < std::max(frames.size(), other.frames.size()); ++k) {
+        const Cycle a = k < frames.size() ? frames[k].cycleOffset
+                                          : ~Cycle(0);
+        const Cycle b = k < other.frames.size()
+                            ? other.frames[k].cycleOffset
+                            : ~Cycle(0);
+        if (a != b) {
+            frame_d.diverged = true;
+            frame_d.cycle = std::min(a, b);
+            break;
+        }
+    }
+    auto first = [&](const Divergence &sampled) {
+        return frame_d.diverged
+                       && (!sampled.diverged || frame_d.cycle < sampled.cycle)
+                   ? frame_d
+                   : sampled;
+    };
     // Align on the later start: the earlier trace's leading samples have
     // no counterpart in the other and cannot be compared.
     const Cycle common = std::max(start, other.start);
@@ -94,16 +133,18 @@ DigestTrace::firstDivergence(const DigestTrace &other) const
     for (std::size_t i = 0; i < n; ++i) {
         if (values[skip_a + i] != other.values[skip_b + i]) {
             d.diverged = true;
-            d.cycle = common + static_cast<Cycle>(i / units) * period;
+            d.cycle = cycleOf((skip_a + i) / units);
             d.unit = static_cast<unsigned>(i % units);
-            return d;
+            return first(d);
         }
     }
     if (n_a != n_b) {
+        // The first sample present in only one trace, on its timeline.
         d.diverged = true;
-        d.cycle = common + static_cast<Cycle>(n / units) * period;
+        d.cycle = n_a > n_b ? cycleOf((skip_a + n) / units)
+                            : other.cycleOf((skip_b + n) / units);
     }
-    return d;
+    return first(d);
 }
 
 namespace {

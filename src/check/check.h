@@ -153,11 +153,31 @@ struct DigestTrace
     Cycle start = 0;
     std::vector<std::uint64_t> values; ///< sample-major, then unit
 
+    /**
+     * Where a later frame of a multi-frame run begins in the trace:
+     * frame f's samples follow frame f-1's back to back, each on its own
+     * period grid from the frame's first cycle, so every frame after the
+     * first restarts the grid at an offset no period multiple need hit.
+     */
+    struct Frame
+    {
+        std::size_t firstSample = 0; ///< index of the frame's first sample
+        Cycle cycleOffset = 0; ///< its cycle on the accumulated timeline
+    };
+    std::vector<Frame> frames; ///< frames 2.. in order (empty: one frame)
+
     std::size_t
     samples() const
     {
         return units == 0 ? 0 : values.size() / units;
     }
+
+    /**
+     * Accumulated-timeline cycle of sample `sample`: start + sample *
+     * period within the first frame, the frame's offset plus its own
+     * grid past it (also for one past the last sample).
+     */
+    Cycle cycleOf(std::size_t sample) const;
 
     std::uint64_t
     at(std::size_t sample, unsigned unit) const
@@ -177,7 +197,10 @@ struct DigestTrace
      * common cycle range [max(start, other.start), min(end, end)].
      * Samples before the later trace's start are not comparable and are
      * skipped; traces ending at different cycles diverge at the shorter
-     * trace's end.
+     * trace's end. The reported cycle is on the accumulated timeline
+     * (cycleOf()); traces whose frames begin at different cycles
+     * diverge at the earlier of the first two such frame starts at the
+     * latest.
      */
     Divergence firstDivergence(const DigestTrace &other) const;
 };

@@ -19,6 +19,8 @@ DramChannel::DramChannel(const DramConfig &config, bool perfect,
 {
     banks_.resize(config_.banks);
     issue_.resize(config_.banks, 0);
+    bankQueued_.resize(config_.banks, 0);
+    bankQueuedHits_.resize(config_.banks, 0);
     if (config_.bankGroups > 0) {
         groupNextColumnAt_.resize(config_.bankGroups, 0);
         // Row-interleaved consecutive banks land in different groups.
@@ -42,20 +44,20 @@ DramChannel::decode(const MemRequest &req) const
 }
 
 std::uint64_t
-DramChannel::earliestIssue(const Queued &q) const
+DramChannel::bankIssueAt(unsigned bank_index, bool row_hit) const
 {
     // Exact while the channel state is frozen (between real cycles):
     // every constraint below can only be *raised* by a real cycle, and
     // the cached event forces one at each constraint-changing tick
     // (issue, retirement, refresh). With the modern knobs off this is
     // exactly the seed readiness rule (bank.readyAt).
-    const Bank &bank = banks_[q.bank];
+    const Bank &bank = banks_[bank_index];
     std::uint64_t t = bank.readyAt;
     if (modernTimings_) {
         t = std::max(t, nextColumnAt_);
         if (!groupNextColumnAt_.empty())
             t = std::max(t, groupNextColumnAt_[bank.group]);
-        if (bank.openRow != q.row)
+        if (!row_hit)
             t = std::max(t, nextActivateAt_);
     }
     return t;
@@ -74,9 +76,32 @@ DramChannel::earliestEvent() const
         return queue_.empty() ? next : 0;
     for (const Inflight &f : inflight_)
         next = std::min(next, f.doneAt);
-    for (const Queued &q : queue_)
-        next = std::min(next, earliestIssue(q));
+    // A row miss never issues before a row hit to the same bank, so a
+    // bank's soonest queued request is a hit whenever it holds one.
+    for (unsigned b = 0; b < banks_.size(); ++b)
+        if (bankQueued_[b] > 0)
+            next = std::min(next, bankIssueAt(b, bankQueuedHits_[b] > 0));
     return next;
+}
+
+void
+DramChannel::recountHits(unsigned bank)
+{
+    unsigned hits = 0;
+    for (const Queued &q : queue_)
+        hits += q.bank == bank && q.row == banks_[bank].openRow;
+    bankQueuedHits_[bank] = hits;
+}
+
+void
+DramChannel::rebuildBankCounts()
+{
+    std::fill(bankQueued_.begin(), bankQueued_.end(), 0);
+    std::fill(bankQueuedHits_.begin(), bankQueuedHits_.end(), 0);
+    for (const Queued &q : queue_) {
+        ++bankQueued_[q.bank];
+        bankQueuedHits_[q.bank] += q.row == banks_[q.bank].openRow;
+    }
 }
 
 void
@@ -94,6 +119,7 @@ DramChannel::processRefresh()
         }
         stats_->counter(slots_.refreshes).inc();
         nextRefreshAt_ += config_.tRefi;
+        rebuildBankCounts();
     }
 }
 
@@ -103,6 +129,9 @@ DramChannel::enqueue(const MemRequest &req)
     vksim_assert(canAccept());
     settle();
     queue_.push_back(decode(req));
+    const Queued &q = queue_.back();
+    ++bankQueued_[q.bank];
+    bankQueuedHits_[q.bank] += q.row == banks_[q.bank].openRow;
     // Nothing else changed, so the cached minimum only needs the new
     // request's own issue tick.
     nextEvent_ = perfect_ ? 0
@@ -156,7 +185,8 @@ DramChannel::sampleBanks()
     // a row hit when it is ready and both column windows (tCCDS, its
     // group's tCCDL) are open, and a row miss when additionally the
     // activate window (tRRD) is open: exactly earliestIssue() <= now,
-    // split by row-buffer outcome.
+    // split by row-buffer outcome. The scheduler runs only when some
+    // ready bank holds a request of a kind it can take.
     const bool column_open = !modernTimings_ || nextColumnAt_ <= nowDram_;
     const bool activate_open =
         !modernTimings_ || nextActivateAt_ <= nowDram_;
@@ -173,7 +203,9 @@ DramChannel::sampleBanks()
                    && (groupNextColumnAt_.empty()
                        || groupNextColumnAt_[bank.group] <= nowDram_)) {
             flags = ready_flags;
-            any_ready = true;
+            any_ready = any_ready || bankQueuedHits_[b] > 0
+                        || (activate_open
+                            && bankQueued_[b] > bankQueuedHits_[b]);
         }
         issue_[b] = flags;
     }
@@ -218,8 +250,9 @@ DramChannel::cycle(Cycle now)
             stats_->counter(slots_.requests).inc();
             queue_.pop_front();
         }
-    } else if (any_ready && !queue_.empty()) {
-        // Otherwise no bank can take a column command: nothing issues.
+        rebuildBankCounts();
+    } else if (any_ready) {
+        // Otherwise no bank can take a request it holds: nothing issues.
         issue(now);
     }
     nextEvent_ = earliestEvent();
@@ -250,12 +283,14 @@ DramChannel::issue(Cycle now)
     queue_.erase(pick);
     Bank &bank = banks_[q.bank];
     bool hit = bank.openRow == q.row;
+    --bankQueued_[q.bank];
     unsigned access_latency = config_.tCas;
     if (!hit) {
         access_latency += bank.openRow == ~Addr(0)
                               ? config_.tRcd
                               : config_.tRp + config_.tRcd;
         bank.openRow = q.row;
+        recountHits(q.bank);
         stats_->counter(slots_.rowMisses).inc();
         if (config_.tRrd > 0)
             nextActivateAt_ = nowDram_ + config_.tRrd;
@@ -264,6 +299,7 @@ DramChannel::issue(Cycle now)
                                    + ".bank" + std::to_string(q.bank),
                                "row_activate", now);
     } else {
+        --bankQueuedHits_[q.bank];
         stats_->counter(slots_.rowHits).inc();
     }
     stats_->counter(slots_.requests).inc();
@@ -335,13 +371,40 @@ DramChannel::checkInvariants(check::Reporter &rep,
                        "transfer done at " + std::to_string(f.doneAt)
                            + " still in flight at DRAM cycle "
                            + std::to_string(nowDram_));
-    // The cached event must be what a fresh scan finds, or the lazy
-    // tick would skip (or needlessly run) a real one.
-    if (nextEvent_ != earliestEvent())
+    // The per-bank counts earliestEvent() and sampleBanks() read must
+    // match a recount of the queue.
+    std::vector<unsigned> queued(banks_.size(), 0);
+    std::vector<unsigned> hits(banks_.size(), 0);
+    for (const Queued &q : queue_) {
+        ++queued[q.bank];
+        hits[q.bank] += q.row == banks_[q.bank].openRow;
+    }
+    for (unsigned b = 0; b < banks_.size(); ++b)
+        if (bankQueued_[b] != queued[b] || bankQueuedHits_[b] != hits[b])
+            rep.report(path + ".bank" + std::to_string(b),
+                       "counts " + std::to_string(bankQueued_[b])
+                           + " queued / " + std::to_string(bankQueuedHits_[b])
+                           + " row hits, the queue holds "
+                           + std::to_string(queued[b]) + " / "
+                           + std::to_string(hits[b]));
+    // The cached event must be what a fresh scan of every queued request
+    // finds, or the lazy tick would skip (or needlessly run) a real one.
+    std::uint64_t scan = nextRefreshAt_ != 0 ? nextRefreshAt_
+                                             : kNoPendingEvent;
+    if (perfect_) {
+        if (!queue_.empty())
+            scan = 0;
+    } else {
+        for (const Inflight &f : inflight_)
+            scan = std::min(scan, f.doneAt);
+        for (const Queued &q : queue_)
+            scan = std::min(scan, earliestIssue(q));
+    }
+    if (nextEvent_ != scan)
         rep.report(path + ".next_event",
                    "cached event tick " + std::to_string(nextEvent_)
                        + " but the channel's next event is at "
-                       + std::to_string(earliestEvent()));
+                       + std::to_string(scan));
 }
 
 std::uint64_t
@@ -481,6 +544,7 @@ DramChannel::loadState(serial::Reader &r)
     nextRefreshAt_ = r.u64();
     // The snapshot's statistics were settled when it was written.
     settledAt_ = nowDram_;
+    rebuildBankCounts();
     nextEvent_ = earliestEvent();
 }
 
@@ -620,9 +684,8 @@ MemFabric::cycle(Cycle now)
             p.dram->tick(now);
             for (const MemRequest &req : p.dram->completed()) {
                 // Fill the L2 and answer every merged miss.
-                std::vector<std::uint64_t> targets =
-                    p.l2->fill(req.addr, now);
-                for (std::uint64_t cookie : targets) {
+                p.l2->fill(req.addr, now, fillTargets_);
+                for (std::uint64_t cookie : fillTargets_) {
                     auto it = p.pendingMiss.find(cookie);
                     if (it == p.pendingMiss.end())
                         continue;

@@ -162,7 +162,7 @@ class DramChannel : public ClockedUnit
      * retirement or the soonest tick a queued request finds its bank
      * ready. Events already due fire on the *next* tick (nowDram_ + 1).
      * O(1): the minimum is cached after each real tick, enqueue() and
-     * loadState().
+     * loadState(), and recomputed per bank, not per queued request.
      */
     Cycle
     nextEventCycle() const override
@@ -195,7 +195,11 @@ class DramChannel : public ClockedUnit
      */
     bool hasRequest(Addr sector, bool write) const;
 
-    /** Validate queue bounds and bank/bus/inflight timing ordering. */
+    /**
+     * Validate queue bounds and bank/bus/inflight timing ordering, the
+     * per-bank queue counts against a recount, and the cached next event
+     * against a scan of every queued request.
+     */
     void checkInvariants(check::Reporter &rep,
                          const std::string &path) const;
 
@@ -242,12 +246,24 @@ class DramChannel : public ClockedUnit
     };
 
     Queued decode(const MemRequest &req) const;
-    /** Earliest tick request `q` could issue, given current bank, CCD,
-     *  RRD and row state (exact while the channel state is frozen). */
-    std::uint64_t earliestIssue(const Queued &q) const;
+    /** Earliest tick a row hit (or miss) could issue to `bank`, given
+     *  current bank, CCD, RRD and row state (exact while the channel
+     *  state is frozen). */
+    std::uint64_t bankIssueAt(unsigned bank, bool row_hit) const;
+    /** Earliest tick request `q` could issue. */
+    std::uint64_t
+    earliestIssue(const Queued &q) const
+    {
+        return bankIssueAt(q.bank, banks_[q.bank].openRow == q.row);
+    }
     /** The soonest refresh, retirement or issue tick, unclamped (what
-     *  nextEvent_ caches; kNoPendingEvent when there is none). */
+     *  nextEvent_ caches; kNoPendingEvent when there is none), from the
+     *  per-bank queue counts. */
     std::uint64_t earliestEvent() const;
+    /** Recount the queued row hits of `bank` (its open row changed). */
+    void recountHits(unsigned bank);
+    /** Rebuild both per-bank counts of every bank from the queue. */
+    void rebuildBankCounts();
     void processRefresh();
     /** FR-FCFS: issue the oldest ready row hit, else the oldest ready
      *  request, to its bank (cycle()'s scheduler step). */
@@ -255,7 +271,7 @@ class DramChannel : public ClockedUnit
     /**
      * The per-tick bank pass of cycle(): counts the pending /
      * bank-parallelism / data-bus samples and sets issue_. Returns true
-     * when some bank can take a column command.
+     * when some bank can take a column command for a request it holds.
      */
     bool sampleBanks();
 
@@ -267,6 +283,11 @@ class DramChannel : public ClockedUnit
     std::deque<Queued> queue_;
     std::vector<Bank> banks_;
     std::vector<std::uint8_t> issue_; ///< IssueFlag bits per bank
+    /** Derived, never serialized: per bank, the queued requests and how
+     *  many of them hit its open row. Kept by enqueue() and issue();
+     *  rebuilt after a refresh, a perfect-mode drain and loadState(). */
+    std::vector<unsigned> bankQueued_;
+    std::vector<unsigned> bankQueuedHits_;
     std::vector<Inflight> inflight_;
     std::vector<MemRequest> completed_;
     std::uint64_t nowDram_ = 0;
@@ -434,6 +455,8 @@ class MemFabric : public ClockedUnit
     std::vector<std::size_t> respCursor_;
     /// Core→DRAM clock crossing (was a bare fractional accumulator).
     ClockDomain dramClock_;
+    /// Reused by cycle(): the L2 MSHR targets one DRAM completion fills.
+    std::vector<std::uint64_t> fillTargets_;
     StatGroup dramStats_{"dram"};
     TimelineShard *timeline_ = nullptr;
 };

@@ -12,10 +12,11 @@
 #ifndef VKSIM_GPU_GPU_H
 #define VKSIM_GPU_GPU_H
 
+#include <algorithm>
+#include <bit>
 #include <deque>
 #include <memory>
 #include <queue>
-#include <set>
 
 #include "check/check.h"
 #include "core/clockedunit.h"
@@ -237,9 +238,8 @@ struct RunResult
      * traces back to back: frame f's j-th sample is at its frame-local
      * cycle j * period, which is cycle j * period + (cycles of frames
      * before f) on the accumulated timeline the occupancy trace uses.
-     * firstDivergence() still finds the first differing sample, but the
-     * cycle it reports assumes one uniform grid, so it is exact only in
-     * the first frame.
+     * `digests.frames` records where each frame after the first begins,
+     * so cycleOf() and firstDivergence() report cycles on that timeline.
      */
     check::DigestTrace digests;
 
@@ -394,10 +394,69 @@ class SmCore : public RtMemPort, public ClockedUnit
     void loadState(serial::Reader &r);
 
   private:
+    /**
+     * A warp's scoreboard: one bit per window-relative register index
+     * below the program's register high-water mark (every slot is sized
+     * to it), walked in ascending register order.
+     */
+    class Scoreboard
+    {
+      public:
+        void resize(unsigned regs) { words_.assign((regs + 63) / 64, 0); }
+        void clear() { std::fill(words_.begin(), words_.end(), 0); }
+
+        bool
+        test(int reg) const
+        {
+            return (words_[static_cast<unsigned>(reg) >> 6] >> (reg & 63))
+                   & 1u;
+        }
+        void
+        set(int reg)
+        {
+            words_[static_cast<unsigned>(reg) >> 6] |= std::uint64_t(1)
+                                                       << (reg & 63);
+        }
+        void
+        reset(int reg)
+        {
+            words_[static_cast<unsigned>(reg) >> 6] &=
+                ~(std::uint64_t(1) << (reg & 63));
+        }
+
+        std::size_t
+        count() const
+        {
+            std::size_t n = 0;
+            for (std::uint64_t w : words_)
+                n += static_cast<std::size_t>(std::popcount(w));
+            return n;
+        }
+        bool
+        empty() const
+        {
+            return std::all_of(words_.begin(), words_.end(),
+                               [](std::uint64_t w) { return w == 0; });
+        }
+
+        /** Call `fn(reg)` for each pending register, ascending. */
+        template <typename Fn>
+        void
+        forEach(Fn &&fn) const
+        {
+            for (std::size_t i = 0; i < words_.size(); ++i)
+                for (std::uint64_t w = words_[i]; w != 0; w &= w - 1)
+                    fn(static_cast<int>(i * 64 + std::countr_zero(w)));
+        }
+
+      private:
+        std::vector<std::uint64_t> words_;
+    };
+
     struct WarpSlot
     {
         std::unique_ptr<vptx::Warp> warp;
-        std::set<int> pendingRegs;  ///< scoreboard
+        Scoreboard pendingRegs;
         unsigned pendingLoads = 0;  ///< outstanding load instructions
         std::uint32_t warpId = 0;
         unsigned nextSplit = 0;     ///< ITS round robin within the warp
@@ -470,6 +529,9 @@ class SmCore : public RtMemPort, public ClockedUnit
     /** Slots issued from in the current cycle (at most issueWidth). */
     std::vector<unsigned> issuedSlots_;
     unsigned warpLimit_;
+    /** Scoreboard width: one past the highest register index any
+     *  instruction of the program names. */
+    unsigned scoreboardRegs_ = 0;
     int greedyWarp_ = -1;
     unsigned rrCursor_ = 0;
     Cycle sfuReadyAt_ = 0;
@@ -483,6 +545,12 @@ class SmCore : public RtMemPort, public ClockedUnit
         std::uint64_t tag;
     };
     std::deque<L1Req> l1Queue_;
+
+    /** Reused per-instruction buffers: handleMemInstr's coalesced load
+     *  and store sectors, and drainFabric's MSHR fill targets. */
+    std::vector<Addr> loadSectors_;
+    std::vector<Addr> storeSectors_;
+    std::vector<std::uint64_t> fillTargets_;
 
     std::unordered_map<std::uint64_t, LdstOp> ldstOps_;
     std::uint64_t nextLdstTag_ = 1;

@@ -45,6 +45,10 @@ SmCore::SmCore(unsigned sm_id, const GpuConfig &config,
                                     config_.regsPerSm / regs_per_warp);
     warpLimit_ = std::max(warpLimit_, 1u);
     issuedSlots_.reserve(config_.issueWidth);
+    const vptx::MicroProgram &uops = executor_.uops();
+    for (std::uint32_t pc = 0; pc < uops.size(); ++pc)
+        scoreboardRegs_ =
+            std::max<unsigned>(scoreboardRegs_, uops.at(pc).maxReg);
 }
 
 void
@@ -63,21 +67,24 @@ SmCore::tryAddWarp(std::uint32_t warp_id, Cycle now)
             ++resident;
     if (resident >= warpLimit_)
         return false;
-    WarpSlot slot;
+    // Reuse a free slot to keep indices stable for in-flight references
+    // (a retired slot's scoreboard is already clear).
+    unsigned index = 0;
+    while (index < warps_.size() && warps_[index].warp)
+        ++index;
+    if (index == warps_.size()) {
+        warps_.emplace_back();
+        warps_.back().pendingRegs.resize(scoreboardRegs_);
+    }
+    WarpSlot &slot = warps_[index];
     slot.warp = std::make_unique<vptx::Warp>();
+    slot.pendingLoads = 0;
     slot.warpId = warp_id;
+    slot.nextSplit = 0;
     slot.dispatchedAt = now;
     vptx::initWarp(*slot.warp, warp_id, ctx_,
                    config_.its ? vptx::WarpCflow::Mode::Its
                                : vptx::WarpCflow::Mode::Stack);
-    // Reuse a free slot to keep indices stable for in-flight references.
-    unsigned index = 0;
-    while (index < warps_.size() && warps_[index].warp)
-        ++index;
-    if (index == warps_.size())
-        warps_.push_back(std::move(slot));
-    else
-        warps_[index] = std::move(slot);
     warpOrder_.insert(
         std::upper_bound(warpOrder_.begin(), warpOrder_.end(), warp_id,
                          [this](std::uint32_t id, unsigned s) {
@@ -230,39 +237,39 @@ SmCore::handleMemInstr(unsigned slot, const vptx::StepResult &res,
 {
     // Coalesce lane accesses into unique 32 B sectors (separately for
     // loads and stores).
-    std::vector<Addr> load_sectors;
-    std::vector<Addr> store_sectors;
+    loadSectors_.clear();
+    storeSectors_.clear();
     for (const vptx::MemAccess &a : res.accesses) {
         Addr first = sectorAlign(a.addr);
         Addr last = sectorAlign(a.addr + a.size - 1);
         for (Addr s = first; s <= last; s += kSectorBytes) {
-            auto &vec = a.write ? store_sectors : load_sectors;
+            auto &vec = a.write ? storeSectors_ : loadSectors_;
             if (std::find(vec.begin(), vec.end(), s) == vec.end())
                 vec.push_back(s);
         }
     }
-    stats_.counter(slots_.ldstSectors).inc(load_sectors.size()
-                                       + store_sectors.size());
+    stats_.counter(slots_.ldstSectors).inc(loadSectors_.size()
+                                       + storeSectors_.size());
 
-    if (!load_sectors.empty()) {
+    if (!loadSectors_.empty()) {
         std::uint64_t op_tag = nextLdstTag_++;
         LdstOp op;
         op.slot = slot;
         op.dstReg = res.dstReg;
-        op.sectorsLeft = static_cast<unsigned>(load_sectors.size());
+        op.sectorsLeft = static_cast<unsigned>(loadSectors_.size());
         ldstOps_.emplace(op_tag, op);
         if (res.dstReg >= 0)
-            warps_[slot].pendingRegs.insert(res.dstReg);
+            warps_[slot].pendingRegs.set(res.dstReg);
         ++warps_[slot].pendingLoads;
-        for (Addr s : load_sectors)
+        for (Addr s : loadSectors_)
             l1Queue_.push_back({s, false, AccessOrigin::Shader, op_tag});
     } else if (res.dstReg >= 0) {
         // Address-only instruction: plain ALU-latency writeback.
-        warps_[slot].pendingRegs.insert(res.dstReg);
+        warps_[slot].pendingRegs.set(res.dstReg);
         writebacks_.push_back(
             {now + config_.aluLatency, slot, res.dstReg, false});
     }
-    for (Addr s : store_sectors)
+    for (Addr s : storeSectors_)
         l1Queue_.push_back({s, true, AccessOrigin::Shader, 0});
 }
 
@@ -271,11 +278,13 @@ SmCore::issueFromWarp(unsigned slot, Cycle now)
 {
     WarpSlot &ws = warps_[slot];
     vptx::Warp &warp = *ws.warp;
-    if (warp.finished() || warp.cflow.runnableCount() == 0)
+    if (warp.finished())
+        return false;
+    const unsigned runnable = warp.cflow.runnableCount();
+    if (runnable == 0)
         return false;
 
     // Pick a split (rotate under ITS so co-resident splits interleave).
-    unsigned runnable = warp.cflow.runnableCount();
     int split_idx =
         warp.cflow.runnableSplit(ws.nextSplit % runnable);
     ws.nextSplit++;
@@ -288,7 +297,7 @@ SmCore::issueFromWarp(unsigned slot, Cycle now)
     // Scoreboard: stall on pending source or destination registers.
     for (int reg : {static_cast<int>(uop.dst), static_cast<int>(uop.src0),
                     static_cast<int>(uop.src1), static_cast<int>(uop.src2)})
-        if (reg >= 0 && ws.pendingRegs.count(reg)) {
+        if (reg >= 0 && ws.pendingRegs.test(reg)) {
             stats_.counter(slots_.stallScoreboard).inc();
             return false;
         }
@@ -344,7 +353,7 @@ SmCore::issueFromWarp(unsigned slot, Cycle now)
       case vptx::ExecUnit::ALU:
       case vptx::ExecUnit::CTRL:
         if (res.dstReg >= 0) {
-            ws.pendingRegs.insert(res.dstReg);
+            ws.pendingRegs.set(res.dstReg);
             writebacks_.push_back(
                 {now + config_.aluLatency, slot, res.dstReg, false});
         }
@@ -352,7 +361,7 @@ SmCore::issueFromWarp(unsigned slot, Cycle now)
       case vptx::ExecUnit::SFU:
         sfuReadyAt_ = now + config_.sfuIssueInterval;
         if (res.dstReg >= 0) {
-            ws.pendingRegs.insert(res.dstReg);
+            ws.pendingRegs.set(res.dstReg);
             writebacks_.push_back(
                 {now + config_.sfuLatency, slot, res.dstReg, false});
         }
@@ -463,7 +472,8 @@ SmCore::drainFabric(Cycle now)
         Cache &cache = (resp.origin == AccessOrigin::RtUnit && rtCache_)
                            ? *rtCache_
                            : l1_;
-        for (std::uint64_t tag : cache.fill(resp.addr, now))
+        cache.fill(resp.addr, now, fillTargets_);
+        for (std::uint64_t tag : fillTargets_)
             scheduleTag(now + cache.config().latency, tag);
     }
 }
@@ -476,7 +486,7 @@ SmCore::retireWritebacks(Cycle now)
         if (writebacks_[i].at <= now) {
             WarpSlot &ws = warps_[writebacks_[i].slot];
             if (ws.warp)
-                ws.pendingRegs.erase(writebacks_[i].reg);
+                ws.pendingRegs.reset(writebacks_[i].reg);
             writebacks_[i] = writebacks_.back();
             writebacks_.pop_back();
         } else {
@@ -501,7 +511,7 @@ SmCore::retireWritebacks(Cycle now)
             WarpSlot &ws = warps_[op.slot];
             if (ws.warp) {
                 if (op.dstReg >= 0)
-                    ws.pendingRegs.erase(op.dstReg);
+                    ws.pendingRegs.reset(op.dstReg);
                 if (ws.pendingLoads > 0)
                     --ws.pendingLoads;
             }
@@ -613,7 +623,7 @@ SmCore::checkInvariants(check::Reporter &rep, Cycle now, bool deep) const
             rep.report(path + ".writeback",
                        "writeback due at cycle " + std::to_string(wb.at)
                            + " not retired");
-        if (!warps_[wb.slot].pendingRegs.count(wb.reg))
+        if (!warps_[wb.slot].pendingRegs.test(wb.reg))
             rep.report(path + ".writeback",
                        "writeback for slot " + std::to_string(wb.slot)
                            + " register " + std::to_string(wb.reg)
@@ -639,11 +649,12 @@ SmCore::checkInvariants(check::Reporter &rep, Cycle now, bool deep) const
                            + " LDST ops are outstanding");
         // Every scoreboard-pending register needs a completion source
         // (an in-flight writeback or load), or issue stalls forever.
-        for (int reg : ws.pendingRegs)
+        ws.pendingRegs.forEach([&](int reg) {
             if (!covered[s].count(reg))
                 rep.report(slot_path,
                            "pending register " + std::to_string(reg)
                                + " has no in-flight writeback or load");
+        });
         ws.warp->cflow.checkWellFormed(rep, slot_path + ".cflow");
     }
 
@@ -682,9 +693,9 @@ SmCore::stateDigest() const
         d.mix(ws.pendingLoads);
         d.mix(ws.nextSplit);
         d.mix(ws.dispatchedAt);
-        for (int reg : ws.pendingRegs)
-            d.mix(static_cast<std::uint64_t>(reg));
-        d.mix(ws.pendingRegs.size());
+        ws.pendingRegs.forEach(
+            [&](int reg) { d.mix(static_cast<std::uint64_t>(reg)); });
+        d.mix(ws.pendingRegs.count());
         d.mix(ws.warp->cflow.stateDigest());
     }
     d.mix(warps_.size());
@@ -796,6 +807,21 @@ saveWarp(serial::Writer &w, const vptx::Warp &warp)
     }
 }
 
+/**
+ * A count read from a snapshot, bounded by the bytes left before
+ * anything is sized by it: each element takes at least `bytes_each`
+ * more bytes.
+ */
+std::uint64_t
+snapshotCount(serial::Reader &r, std::uint64_t bytes_each, const char *what)
+{
+    const std::uint64_t n = r.u64();
+    if (n > r.remaining() / bytes_each)
+        throw SimError("SM snapshot: " + std::to_string(n) + " " + what
+                       + " in " + std::to_string(r.remaining()) + " bytes");
+    return n;
+}
+
 void
 loadWarp(serial::Reader &r, vptx::Warp &warp, const GlobalMemory &gmem)
 {
@@ -804,13 +830,14 @@ loadWarp(serial::Reader &r, vptx::Warp &warp, const GlobalMemory &gmem)
         vptx::ThreadState &t = warp.threads[lane];
         t.rf = &warp.regs;
         t.lane = static_cast<std::uint8_t>(lane);
-        const auto nregs = static_cast<std::uint32_t>(r.u64());
+        const auto nregs =
+            static_cast<std::uint32_t>(snapshotCount(r, 8, "registers"));
         warp.regs.setLaneSize(lane, nregs);
         std::uint64_t *row = warp.regs.row(lane);
         for (std::uint32_t i = 0; i < nregs; ++i)
             row[i] = r.u64();
         t.windowBase = r.u32();
-        t.callStack.resize(r.u64());
+        t.callStack.resize(snapshotCount(r, 8, "call frames"));
         for (auto &f : t.callStack) {
             f.retPc = r.u32();
             f.savedWindow = r.u32();
@@ -822,7 +849,7 @@ loadWarp(serial::Reader &r, vptx::Warp &warp, const GlobalMemory &gmem)
         t.exited = r.b();
     }
     warp.cflow.loadState(r);
-    warp.fccRows.resize(r.u64());
+    warp.fccRows.resize(snapshotCount(r, 8, "FCC rows"));
     for (vptx::CoalescedRow &row : warp.fccRows) {
         row.shaderId = r.i32();
         row.mask = r.u32();
@@ -830,14 +857,16 @@ loadWarp(serial::Reader &r, vptx::Warp &warp, const GlobalMemory &gmem)
             e = static_cast<std::uint16_t>(r.u32());
     }
     warp.pendingTraverses.clear();
-    std::uint64_t num_splits = r.u64();
+    std::uint64_t num_splits = snapshotCount(r, 16, "parked traverses");
     for (std::uint64_t i = 0; i < num_splits; ++i) {
         int id = r.i32();
         vptx::TraverseState &st = warp.pendingTraverses[id];
         const vptx::Mask mask = r.u32();
         st.reset(mask);
         const std::uint64_t num_lanes = r.u64();
-        vksim_assert(num_lanes == kWarpSize);
+        if (num_lanes != kWarpSize)
+            throw SimError("SM snapshot: a parked traverse of "
+                           + std::to_string(num_lanes) + " lanes");
         for (unsigned lane = 0; lane < kWarpSize; ++lane) {
             Addr fb = r.u64();
             if (r.b())
@@ -863,9 +892,8 @@ SmCore::saveState(serial::Writer &w) const
         w.u32(ws.pendingLoads);
         w.u32(ws.nextSplit);
         w.u64(ws.dispatchedAt);
-        w.u64(ws.pendingRegs.size());
-        for (int reg : ws.pendingRegs)
-            w.i32(reg);
+        w.u64(ws.pendingRegs.count());
+        ws.pendingRegs.forEach([&](int reg) { w.i32(reg); });
         saveWarp(w, *ws.warp);
     }
     w.u64(l1Queue_.size());
@@ -933,19 +961,41 @@ void
 SmCore::loadState(serial::Reader &r)
 {
     vksim_assert(stagedRequests_.empty());
+    auto reject = [](const std::string &why) {
+        throw SimError("SM snapshot: " + why);
+    };
+    auto resident = [this](std::uint32_t slot) {
+        return slot < warps_.size() && warps_[slot].warp;
+    };
+    // A register index must fall inside the scoreboard; a load may have
+    // no destination (-1).
+    auto reg = [&](int index, bool none_ok, const char *what) {
+        if (index < (none_ok ? -1 : 0)
+            || index >= static_cast<int>(scoreboardRegs_))
+            reject(std::string(what) + " register " + std::to_string(index)
+                   + " outside the " + std::to_string(scoreboardRegs_)
+                   + "-register window");
+        return index;
+    };
+
+    // The slot vector only grows, one slot per concurrently resident warp.
     std::uint64_t num_slots = r.u64();
+    if (num_slots > warpLimit_)
+        reject(std::to_string(num_slots) + " warp slots, the SM holds "
+               + std::to_string(warpLimit_) + " warps");
     warps_.clear();
     warps_.resize(num_slots);
     for (WarpSlot &ws : warps_) {
+        ws.pendingRegs.resize(scoreboardRegs_);
         if (!r.b())
             continue;
         ws.warpId = r.u32();
         ws.pendingLoads = r.u32();
         ws.nextSplit = r.u32();
         ws.dispatchedAt = r.u64();
-        std::uint64_t num_regs = r.u64();
+        std::uint64_t num_regs = snapshotCount(r, 4, "pending registers");
         for (std::uint64_t i = 0; i < num_regs; ++i)
-            ws.pendingRegs.insert(r.i32());
+            ws.pendingRegs.set(reg(r.i32(), false, "pending"));
         ws.warp = std::make_unique<vptx::Warp>();
         loadWarp(r, *ws.warp, *ctx_.gmem);
     }
@@ -958,7 +1008,7 @@ SmCore::loadState(serial::Reader &r)
                   return warps_[a].warpId < warps_[b].warpId;
               });
     l1Queue_.clear();
-    std::uint64_t num_l1 = r.u64();
+    std::uint64_t num_l1 = snapshotCount(r, 18, "queued L1 requests");
     for (std::uint64_t i = 0; i < num_l1; ++i) {
         L1Req q;
         q.sector = r.u64();
@@ -968,28 +1018,34 @@ SmCore::loadState(serial::Reader &r)
         l1Queue_.push_back(q);
     }
     ldstOps_.clear();
-    std::uint64_t num_ops = r.u64();
+    std::uint64_t num_ops = snapshotCount(r, 20, "LDST ops");
     for (std::uint64_t i = 0; i < num_ops; ++i) {
         std::uint64_t tag = r.u64();
         LdstOp op;
         op.slot = r.u32();
-        op.dstReg = r.i32();
+        if (!resident(op.slot))
+            reject("LDST op for warp slot " + std::to_string(op.slot)
+                   + ", which is not resident");
+        op.dstReg = reg(r.i32(), true, "LDST destination");
         op.sectorsLeft = r.u32();
         ldstOps_.emplace(tag, op);
     }
     nextLdstTag_ = r.u64();
     writebacks_.clear();
-    std::uint64_t num_wb = r.u64();
+    std::uint64_t num_wb = snapshotCount(r, 17, "writebacks");
     for (std::uint64_t i = 0; i < num_wb; ++i) {
         PendingWriteback wb;
         wb.at = r.u64();
         wb.slot = r.u32();
-        wb.reg = r.i32();
+        if (!resident(wb.slot))
+            reject("writeback for warp slot " + std::to_string(wb.slot)
+                   + ", which is not resident");
+        wb.reg = reg(r.i32(), false, "writeback");
         wb.isLoad = r.b();
         writebacks_.push_back(wb);
     }
     tagReady_ = {};
-    std::uint64_t num_tags = r.u64();
+    std::uint64_t num_tags = snapshotCount(r, 24, "tag events");
     for (std::uint64_t i = 0; i < num_tags; ++i) {
         TagEvent ev;
         ev.at = r.u64();
@@ -998,7 +1054,13 @@ SmCore::loadState(serial::Reader &r)
         tagReady_.push(ev);
     }
     tagSeq_ = r.u64();
+    // The greedy warp may name a slot retired since (tryIssue checks);
+    // the round-robin cursor is free-running (used modulo the resident
+    // count), so every value of it is valid.
     greedyWarp_ = r.i32();
+    if (greedyWarp_ < -1 || greedyWarp_ >= static_cast<int>(num_slots))
+        reject("greedy warp slot " + std::to_string(greedyWarp_) + " of "
+               + std::to_string(num_slots));
     rrCursor_ = r.u32();
     sfuReadyAt_ = r.u64();
     now_ = r.u64();
@@ -1008,8 +1070,8 @@ SmCore::loadState(serial::Reader &r)
     l1_.loadState(r);
     if (rtCache_)
         rtCache_->loadState(r);
-    rtUnit_.loadState(r, [this](std::uint32_t slot) {
-        if (slot >= warps_.size() || !warps_[slot].warp)
+    rtUnit_.loadState(r, [&](std::uint32_t slot) {
+        if (!resident(slot))
             throw SimError("RT unit snapshot: warp slot "
                            + std::to_string(slot) + " is not resident");
         return warps_[slot].warp.get();

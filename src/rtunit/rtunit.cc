@@ -89,6 +89,7 @@ RtUnit::submit(vptx::Warp *warp, int split_id, Cycle now)
         trav->setSink(&entry.sinks[lane]);
         entry.lanes[lane].status = LaneStatus::Ready;
         ++entry.lanesLive;
+        ++entry.lanesReady;
     }
     ++liveEntries_;
     stats_->counter(slots_.warpsSubmitted).inc();
@@ -126,12 +127,7 @@ RtUnit::memSchedule(Cycle now)
     // Warp Scheduler: greedy-then-oldest over warp-buffer slots.
     auto has_ready = [&](int slot) {
         const WarpEntry &e = entries_[static_cast<std::size_t>(slot)];
-        if (!e.valid)
-            return false;
-        for (unsigned lane = 0; lane < kWarpSize; ++lane)
-            if (e.lanes[lane].status == LaneStatus::Ready)
-                return true;
-        return false;
+        return e.valid && e.lanesReady > 0;
     };
 
     int slot = -1;
@@ -155,7 +151,6 @@ RtUnit::memSchedule(Cycle now)
 
     // Memory Scheduler: collect fetch addresses from all ready rays,
     // merge identical requests, push the unique set onto the queue.
-    std::vector<std::pair<Addr, unsigned>> fetches; // sector, size
     for (unsigned lane = 0; lane < kWarpSize; ++lane) {
         LaneState &ls = entry.lanes[lane];
         if (ls.status != LaneStatus::Ready)
@@ -166,6 +161,7 @@ RtUnit::memSchedule(Cycle now)
         if (!trav->nextFetch(&addr, &size)) {
             ls.status = LaneStatus::Done;
             --entry.lanesLive;
+            --entry.lanesReady;
             continue;
         }
         ls.nodeType = trav->pendingType();
@@ -209,14 +205,13 @@ RtUnit::memSchedule(Cycle now)
             ++ls.chunksOutstanding;
         }
         ls.status = LaneStatus::WaitingMem;
+        --entry.lanesReady;
     }
 
-    // Check warps whose rays all finished during collection.
-    for (unsigned s = 0; s < entries_.size(); ++s) {
-        WarpEntry &e = entries_[s];
-        if (e.valid && !e.inWriteback && e.lanesLive == 0)
-            startWriteback(e, s, now);
-    }
+    // Collection touched only this warp, so it is the only one whose
+    // rays can all have finished here.
+    if (!entry.inWriteback && entry.lanesLive == 0)
+        startWriteback(entry, static_cast<unsigned>(slot), now);
 }
 
 void
@@ -316,6 +311,7 @@ RtUnit::finishOps(Cycle now)
                     --entry.lanesLive;
                 } else {
                     ls.status = LaneStatus::Ready;
+                    ++entry.lanesReady;
                 }
                 continue;
             }
@@ -344,6 +340,7 @@ RtUnit::finishOps(Cycle now)
                 --entry.lanesLive;
             } else {
                 ls.status = LaneStatus::Ready;
+                ++entry.lanesReady;
             }
         }
         if (!entry.inWriteback && entry.lanesLive == 0)
@@ -506,8 +503,11 @@ RtUnit::checkInvariants(check::Reporter &rep, const std::string &path,
         }
         ++live;
         unsigned lanes_live = 0;
+        unsigned lanes_ready = 0;
         for (unsigned lane = 0; lane < kWarpSize; ++lane) {
             const LaneState &ls = e.lanes[lane];
+            if (ls.status == LaneStatus::Ready)
+                ++lanes_ready;
             bool in_mask = (e.mask >> lane) & 1u;
             if (ls.status != LaneStatus::Idle && !in_mask)
                 rep.report(lane_path(slot, lane),
@@ -561,6 +561,11 @@ RtUnit::checkInvariants(check::Reporter &rep, const std::string &path,
                        "lanesLive=" + std::to_string(e.lanesLive)
                            + " but " + std::to_string(lanes_live)
                            + " lanes are in a live status");
+        if (lanes_ready != e.lanesReady)
+            rep.report(path + ".slot" + std::to_string(slot),
+                       "lanesReady=" + std::to_string(e.lanesReady)
+                           + " but " + std::to_string(lanes_ready)
+                           + " lanes are Ready");
         // finishOps() is skipped between deadlines, so a warp with no
         // live lane must already be writing back.
         if (e.lanesLive == 0 && !e.inWriteback)
@@ -870,6 +875,8 @@ RtUnit::loadState(
             if (ls.status == LaneStatus::InOp
                 || ls.status == LaneStatus::InAnyHit)
                 opDeadline_ = std::min(opDeadline_, ls.opDoneAt);
+            if (ls.status == LaneStatus::Ready)
+                ++e.lanesReady;
             ++lanes_live;
         }
         e.submitTime = r.u64();

@@ -142,8 +142,9 @@ class RtUnit : public ClockedUnit
      * live-lane counts (per warp, and summed as activeRays() reports
      * them), lane-status/chunk consistency, the conservation of
      * outstanding chunks across the Memory Access Queue and in-flight
-     * reads, queue bounds, Response-FIFO referential integrity, and the
-     * cached operation deadline against every lane in an operation.
+     * reads, queue bounds, Response-FIFO referential integrity, the
+     * per-warp ready-lane counts, and the cached operation deadline
+     * against every lane in an operation.
      */
     void checkInvariants(check::Reporter &rep, const std::string &path,
                          Cycle now) const;
@@ -159,7 +160,8 @@ class RtUnit : public ClockedUnit
      * freshly restored warp at load time. loadState re-links each
      * entry's TraverseState pointer and per-lane traversal sinks exactly
      * the way submit() wires them, rebuilds the derived operation
-     * deadline from the decoded lanes, and rejects malformed bytes
+     * deadline and ready-lane counts from the decoded lanes, and rejects
+     * malformed bytes
      * (counts, indices, enum values, or bookkeeping that disagrees with
      * the decoded lanes) with SimError.
      */
@@ -213,6 +215,9 @@ class RtUnit : public ClockedUnit
         std::array<LaneSink, kWarpSize> sinks;
         Cycle submitTime = 0;
         unsigned lanesLive = 0;
+        /// Derived, never serialized: lanes in status Ready, kept at
+        /// every transition into and out of it (loadState rebuilds it).
+        unsigned lanesReady = 0;
         /// Result/FCC writeback traffic left before completion signals.
         std::deque<Addr> writebackQueue;
         bool inWriteback = false;

@@ -26,7 +26,8 @@ secondsSince(std::chrono::steady_clock::time_point start)
  * wall-clock add, stat groups / histograms / metrics merge in frame
  * order, occupancy samples are rebased onto the accumulated timeline
  * so the trace stays monotonic, and the frame's digest samples are
- * appended (see RunResult::digests for how they map to cycles).
+ * appended with a record of where the frame begins (see
+ * RunResult::digests).
  */
 void
 accumulateFrame(RunResult &total, const RunResult &r)
@@ -45,6 +46,9 @@ accumulateFrame(RunResult &total, const RunResult &r)
     total.rtWarpLatency.merge(r.rtWarpLatency);
     for (const auto &[cycle, occ] : r.occupancyTrace)
         total.occupancyTrace.emplace_back(total.cycles + cycle, occ);
+    if (r.digests.units != 0)
+        total.digests.frames.push_back(
+            {total.digests.samples(), total.cycles + r.digests.start});
     total.digests.values.insert(total.digests.values.end(),
                                 r.digests.values.begin(),
                                 r.digests.values.end());

@@ -168,6 +168,41 @@ TEST(DigestTraceTest, ShapeMismatchDiverges)
     EXPECT_TRUE(a.firstDivergence(b).diverged);
 }
 
+// A two-frame trace: frame 1 runs 100 cycles at period 37 (samples at
+// 0, 37, 74), so frame 2's samples sit at 100, 137, ... on the
+// accumulated timeline, off frame 1's grid.
+TEST(DigestTraceTest, ReportsAccumulatedCyclesPastTheFirstFrame)
+{
+    check::DigestTrace a = makeTrace(37, 2, 6);
+    a.frames.push_back({3, 100});
+    EXPECT_EQ(a.cycleOf(2), 74u);
+    EXPECT_EQ(a.cycleOf(3), 100u);
+    EXPECT_EQ(a.cycleOf(5), 174u);
+    EXPECT_EQ(a.cycleOf(6), 211u); // one past the last sample
+
+    check::DigestTrace b = a;
+    b.values[4 * 2 + 1] ^= 1; // frame 2's second sample, unit 1
+    check::DigestTrace::Divergence d = a.firstDivergence(b);
+    EXPECT_TRUE(d.diverged);
+    EXPECT_EQ(d.cycle, 137u);
+    EXPECT_EQ(d.unit, 1u);
+
+    check::DigestTrace shorter = a;
+    shorter.values.resize(5 * 2);
+    d = a.firstDivergence(shorter);
+    EXPECT_TRUE(d.diverged);
+    EXPECT_EQ(d.cycle, 174u);
+
+    // Frame 1 ran longer in the other trace: its frame 2 starts later,
+    // and the traces diverge where the first of the two starts.
+    check::DigestTrace longer = a;
+    longer.frames[0].cycleOffset = 111;
+    d = a.firstDivergence(longer);
+    EXPECT_TRUE(d.diverged);
+    EXPECT_EQ(d.cycle, 100u);
+    EXPECT_FALSE(a.firstDivergence(a).diverged);
+}
+
 // --- reporter ----------------------------------------------------------
 
 TEST(ReporterTest, CollectModeAccumulates)
@@ -385,6 +420,39 @@ TEST(CheckEndToEndTest, InjectedDigestFaultIsLocalized)
 
     // The injection only touches the trace, not the simulation.
     EXPECT_EQ(ref.cycles, fault.cycles);
+}
+
+// A multi-frame run records where each later frame begins, so a
+// divergence past frame 1 is reported at its accumulated cycle even when
+// frame 1's length is not a multiple of the sampling period.
+TEST(CheckEndToEndTest, MultiFrameDigestTraceMapsFramesToCycles)
+{
+    WorkloadParams p = tiny(WorkloadId::ACC);
+    GpuConfig cfg = smallConfig(2);
+    cfg.digestTrace = true;
+    cfg.digestPeriod = 37;
+    Workload one(WorkloadId::ACC, p);
+    const RunResult first =
+        service::defaultService().submit(one, cfg).take().run;
+    ASSERT_NE(first.cycles % 37, 0u) << "frame 1 ends on the grid";
+
+    p.frames = 2;
+    Workload two(WorkloadId::ACC, p);
+    const RunResult both =
+        service::defaultService().submit(two, cfg).take().run;
+    ASSERT_EQ(both.digests.frames.size(), 1u);
+    const check::DigestTrace::Frame frame2 = both.digests.frames[0];
+    EXPECT_EQ(frame2.firstSample, first.digests.samples());
+    EXPECT_EQ(frame2.cycleOffset, first.cycles);
+    ASSERT_GT(both.digests.samples(), frame2.firstSample + 3);
+
+    check::DigestTrace corrupt = both.digests;
+    corrupt.values[(frame2.firstSample + 3) * corrupt.units + 1] ^= 1;
+    check::DigestTrace::Divergence d =
+        both.digests.firstDivergence(corrupt);
+    ASSERT_TRUE(d.diverged);
+    EXPECT_EQ(d.cycle, first.cycles + 3 * 37);
+    EXPECT_EQ(d.unit, 1u);
 }
 
 // --- idle-skip x invariant sweeps --------------------------------------

@@ -27,6 +27,7 @@
 
 #include "core/vulkansim.h"
 #include "gpu/checkpoint.h"
+#include "gpu/gpu.h"
 #include "mem/gmem.h"
 #include "service/artifacts.h"
 #include "service/diskstore.h"
@@ -492,6 +493,159 @@ TEST(CheckpointTest, ResumeRejectsMalformedSnapshotBytes)
                      SimError)
             << name;
     }
+}
+
+/**
+ * What craftSm writes ahead of an idle SM's statistics, caches and RT
+ * unit: `slots` warp slots, slot 0 resident with pending registers
+ * `regs` when `resident` (its warp never decodes: every case below is
+ * rejected first), then the LDST ops and writebacks as (slot, register)
+ * pairs and the greedy and round-robin cursors.
+ */
+struct SmImage
+{
+    std::uint64_t slots = 0;
+    bool resident = false;
+    std::uint64_t numRegs = 0;
+    std::vector<std::int32_t> regs;
+    std::uint64_t l1Queued = 0;
+    std::vector<std::pair<std::uint32_t, std::int32_t>> ops;
+    std::vector<std::pair<std::uint32_t, std::int32_t>> writebacks;
+    std::int32_t greedy = -1;
+    std::uint32_t rrCursor = 0;
+};
+
+/** `img` followed by `tail`, the part of an idle SM's snapshot past
+ *  its cursors (80 bytes in). */
+std::vector<std::uint8_t>
+craftSm(const SmImage &img, const std::vector<std::uint8_t> &tail)
+{
+    serial::Writer w;
+    w.u64(img.slots);
+    for (std::uint64_t s = 0; s < std::min<std::uint64_t>(img.slots, 64);
+         ++s) {
+        const bool resident = s == 0 && img.resident;
+        w.b(resident);
+        if (!resident)
+            continue;
+        w.u32(0);  // warp id
+        w.u32(0);  // pending loads
+        w.u32(0);  // next split
+        w.u64(0);  // dispatch cycle
+        w.u64(img.numRegs);
+        for (std::int32_t reg : img.regs)
+            w.i32(reg);
+    }
+    w.u64(img.l1Queued);
+    w.u64(img.ops.size());
+    std::uint64_t tag = 1;
+    for (auto [slot, reg] : img.ops) {
+        w.u64(tag++);
+        w.u32(slot);
+        w.i32(reg);
+        w.u32(1); // sectors left
+    }
+    w.u64(tag); // next LDST tag
+    w.u64(img.writebacks.size());
+    for (auto [slot, reg] : img.writebacks) {
+        w.u64(10); // due cycle
+        w.u32(slot);
+        w.i32(reg);
+        w.b(false);
+    }
+    w.u64(0); // tag events
+    w.u64(0); // tag sequence
+    w.i32(img.greedy);
+    w.u32(img.rrCursor);
+    w.u64(0);     // SFU ready cycle
+    w.u64(0);     // cycle
+    std::vector<std::uint8_t> bytes = w.take();
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+    return bytes;
+}
+
+// SmCore::loadState must turn malformed bytes into SimError — never an
+// allocation sized by a crafted count, a scoreboard bit outside the
+// register window, or a writeback/LDST op indexing a slot with no warp.
+TEST(CheckpointTest, SmCoreRejectsMalformedState)
+{
+    const GpuConfig cfg = engineConfig(false, 1, 1);
+    Workload wl(WorkloadId::TRI, tinyParams());
+    MemFabric fabric(cfg.fabric, cfg.numSms);
+    SmCore sm(0, cfg, wl.launch(), &fabric);
+
+    serial::Writer idle;
+    sm.saveState(idle);
+    const std::vector<std::uint8_t> good = idle.take();
+    ASSERT_GT(good.size(), 80u);
+    const std::vector<std::uint8_t> tail(good.begin() + 80, good.end());
+    ASSERT_EQ(craftSm({}, tail), good);
+
+    // The register window: every register an instruction names.
+    int window = 0;
+    for (const vptx::Instr &in : wl.launch().program->code)
+        window = std::max({window, in.dst + 1, in.src0 + 1, in.src1 + 1,
+                           in.src2 + 1});
+    ASSERT_GT(window, 0);
+
+    auto load_error = [&](const SmImage &img) -> std::string {
+        const std::vector<std::uint8_t> bytes = craftSm(img, tail);
+        serial::Reader r(bytes);
+        try {
+            sm.loadState(r);
+        } catch (const SimError &e) {
+            return e.what();
+        }
+        return "";
+    };
+    auto rejects = [&](const SmImage &img, const char *why) {
+        const std::string error = load_error(img);
+        EXPECT_NE(error.find(why), std::string::npos)
+            << "expected \"" << why << "\", got \"" << error << "\"";
+    };
+
+    SmImage ok;
+    ok.slots = sm.warpLimit();
+    ok.greedy = static_cast<std::int32_t>(sm.warpLimit()) - 1;
+    ok.rrCursor = 12345; // free-running: any value is valid
+    EXPECT_EQ(load_error(ok), "");
+
+    SmImage img = ok;
+    img.slots = sm.warpLimit() + 1;
+    rejects(img, "warp slots");
+    img.slots = 1ull << 60;
+    rejects(img, "warp slots");
+
+    img = ok;
+    img.resident = true;
+    img.numRegs = 1ull << 60;
+    rejects(img, "pending registers in");
+    for (std::int32_t reg : {-1, -7, window, 1 << 20}) {
+        img.numRegs = 1;
+        img.regs = {reg};
+        rejects(img, "outside the");
+    }
+
+    img = ok;
+    img.l1Queued = 1ull << 60;
+    rejects(img, "queued L1 requests");
+    img = ok;
+    img.ops = {{0, -1}};
+    rejects(img, "not resident");
+    img.slots = 0;
+    img.greedy = -1;
+    rejects(img, "not resident");
+    img = ok;
+    img.writebacks = {{static_cast<std::uint32_t>(sm.warpLimit()), 0}};
+    rejects(img, "not resident");
+    img.writebacks = {{0, 0}};
+    rejects(img, "not resident");
+
+    img = ok;
+    img.greedy = static_cast<std::int32_t>(sm.warpLimit());
+    rejects(img, "greedy warp slot");
+    img.greedy = -2;
+    rejects(img, "greedy warp slot");
 }
 
 TEST(CheckpointTest, ValidateRejectsBadCheckpointCombos)

@@ -1006,9 +1006,11 @@ TEST(DramSchedulerTest, DecodedScanMatchesTwoPassOracle)
  * on every tick, both fed one PCG32 request stream that alternates dense
  * phases with long sparse ones. Completions and the state digest are
  * compared on every tick; the lazy channel is settled and read (stats
- * dump, saveState bytes, invariant sweep) only at random ticks, so the
- * settled spans vary from one tick to thousands. Halfway through, the
- * lazy channel is saved and restored into a fresh one.
+ * dump, saveState bytes) only at random ticks, so the settled spans
+ * vary from one tick to thousands, and both channels' invariants (their
+ * per-bank queue counts and cached next event) are swept there.
+ * Halfway through, the lazy channel is saved and restored into a fresh
+ * one.
  */
 void
 expectLazyMatchesAlwaysTick(const DramConfig &cfg, bool perfect,
@@ -1072,7 +1074,9 @@ expectLazyMatchesAlwaysTick(const DramConfig &cfg, bool perfect,
             ASSERT_EQ(snapshotOf(*ch), snapshotOf(ref)) << "tick " << t;
             check::Reporter rep(/*collect=*/true);
             ch->checkInvariants(rep, "dram");
-            ASSERT_TRUE(rep.ok()) << rep.violations().front().message;
+            ref.checkInvariants(rep, "ref");
+            ASSERT_TRUE(rep.ok()) << rep.violations().front().path << ": "
+                                  << rep.violations().front().message;
         }
 
         if (t == ticks / 2) {

@@ -337,11 +337,12 @@ TEST(RtUnitTest, WritebackGeneratesHitStores)
 
 TEST(RtUnitTest, DerivedBookkeepingHoldsAndSurvivesRestore)
 {
-    // The unit caches its operation deadline and sums live lanes instead
-    // of scanning them. A checked run must never see either disagree
-    // with the lanes, and a unit restored mid-traversal (which rebuilds
-    // the deadline from the decoded lanes) must finish exactly like an
-    // uninterrupted one.
+    // The unit caches its operation deadline and counts live and ready
+    // lanes instead of scanning them. A checked run must never see any
+    // of them disagree with a lane scan, and a unit restored
+    // mid-traversal (which rebuilds the deadline and the ready counts
+    // from the decoded lanes) must finish exactly like an uninterrupted
+    // one.
     RtFixture fx(8), ref(8);
     auto unit = std::make_unique<RtUnit>(RtUnitConfig{}, &fx.ctx, &fx.stats);
     unit->setMemPort(&fx.port);
