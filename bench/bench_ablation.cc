@@ -47,7 +47,7 @@ main()
         std::printf("%8u %12llu %14llu\n", entries,
                     static_cast<unsigned long long>(run.cycles),
                     static_cast<unsigned long long>(
-                        run.rt.get("stack_spills")));
+                        run.metrics.get("gpu.rt.stack_spills")));
     }
 
     // --- RT operation-unit latency ---------------------------------------

@@ -29,8 +29,9 @@ main()
         RunResult run = service::defaultService().submit(workload, baselineGpuConfig()).take().run;
         double busy = 100.0 * run.rtActiveFraction();
         double trace_share =
-            100.0 * run.core.get("issue_rt")
-            / std::max<std::uint64_t>(1, run.core.get("issued"));
+            100.0 * run.metrics.get("gpu.core.issue_rt")
+            / std::max<std::uint64_t>(1,
+                                      run.metrics.get("gpu.core.issued"));
         std::printf("%-8s %12llu %17.1f%% %17.2f%%\n", workload.name(),
                     static_cast<unsigned long long>(run.cycles), busy,
                     trace_share);

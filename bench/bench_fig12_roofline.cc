@@ -30,11 +30,12 @@ runConfig(const char *label, const vksim::GpuConfig &config)
     for (wl::WorkloadId id : wl::kAllWorkloads) {
         wl::Workload workload(id, bench::benchParams(id));
         RunResult run = service::defaultService().submit(workload, config).take().run;
-        double ops = static_cast<double>(run.rt.get("ops_box")
-                                         + run.rt.get("ops_triangle")
-                                         + run.rt.get("ops_transform"));
+        const MetricsRegistry &m = run.metrics;
+        double ops = static_cast<double>(m.get("gpu.rt.ops_box")
+                                         + m.get("gpu.rt.ops_triangle")
+                                         + m.get("gpu.rt.ops_transform"));
         double blocks = static_cast<double>(
-            std::max<std::uint64_t>(1, run.rt.get("mem_requests")));
+            std::max<std::uint64_t>(1, m.get("gpu.rt.mem_requests")));
         double intensity = ops / blocks;
         double perf = ops / static_cast<double>(run.cycles);
         double roof = std::min(compute_bound, intensity * mem_bound_slope);

@@ -27,7 +27,8 @@ main()
     config.fabric.numPartitions = 2;
     RunResult run = service::defaultService().submit(workload, config).take().run;
 
-    const Histogram &h = run.rtWarpLatency;
+    const Histogram &h =
+        *run.metrics.findHistogram("gpu.rt.warp_latency_hist");
     std::printf("RT warps: %llu, mean latency %.0f cycles, max %.0f\n",
                 static_cast<unsigned long long>(h.summary().count()),
                 h.summary().mean(), h.summary().max());

@@ -7,16 +7,29 @@
  * capacity/conflict thrashing.
  */
 
+#include <initializer_list>
+#include <string>
+
 #include "bench/common.h"
 #include "service/service.h"
 
 namespace {
 
+/**
+ * One cache level's row; `groups` are the registry groups (under "gpu.")
+ * whose counters the level sums.
+ */
 void
-printBreakdown(const char *level, const vksim::StatGroup &stats)
+printBreakdown(const char *level, const vksim::MetricsRegistry &m,
+               std::initializer_list<const char *> groups)
 {
     using std::uint64_t;
-    auto get = [&](const char *k) { return stats.get(k); };
+    auto get = [&](const char *k) {
+        uint64_t v = 0;
+        for (const char *g : groups)
+            v += m.get(std::string("gpu.") + g + "." + k);
+        return v;
+    };
     uint64_t total = get("accesses.shader") + get("accesses.rtunit");
     if (total == 0)
         return;
@@ -46,8 +59,8 @@ main()
         wl::Workload workload(id, bench::benchParams(id));
         RunResult run = service::defaultService().submit(workload, baselineGpuConfig()).take().run;
         std::printf("%s:\n", workload.name());
-        printBreakdown("L1D", run.l1);
-        printBreakdown("L2", run.l2);
+        printBreakdown("L1D", run.metrics, {"l1", "rtcache"});
+        printBreakdown("L2", run.metrics, {"l2"});
     }
     return 0;
 }

@@ -26,14 +26,14 @@ sweep(const char *label, const vksim::GpuConfig &base_config,
         GpuConfig config = base_config;
         config.rt.maxWarps = warps;
         RunResult run = service::defaultService().submit(workload, config).take().run;
-        double rh = static_cast<double>(run.dram.get("row_hits"));
-        double rm = static_cast<double>(run.dram.get("row_misses"));
+        const MetricsRegistry &m = run.metrics;
+        double rh = static_cast<double>(m.get("gpu.dram.row_hits"));
+        double rm = static_cast<double>(m.get("gpu.dram.row_misses"));
         double row_pct = rh + rm > 0 ? 100.0 * rh / (rh + rm) : 0.0;
-        double blp =
-            run.dram.get("blp_samples")
-                ? static_cast<double>(run.dram.get("blp_sum"))
-                      / run.dram.get("blp_samples")
-                : 0.0;
+        double blp = m.get("gpu.dram.blp_samples")
+                         ? static_cast<double>(m.get("gpu.dram.blp_sum"))
+                               / m.get("gpu.dram.blp_samples")
+                         : 0.0;
         std::printf("%8u %12llu %11.1f%% %11.1f%% %9.1f%% %8.2f\n", warps,
                     static_cast<unsigned long long>(run.cycles),
                     100.0 * run.dramUtilization(),

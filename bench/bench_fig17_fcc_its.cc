@@ -50,10 +50,11 @@ main()
         RunResult rf = service::defaultService().submit(fcc, mobile).take().run;
 
         double speedup = static_cast<double>(rb.cycles) / rf.cycles;
-        std::uint64_t base_rt_loads = rb.rt.get("mem_requests");
-        std::uint64_t fcc_rt_loads = rf.rt.get("mem_requests")
-                                     + rf.rt.get("fcc_insert_loads")
-                                     + rf.rt.get("fcc_insert_stores");
+        std::uint64_t base_rt_loads = rb.metrics.get("gpu.rt.mem_requests");
+        std::uint64_t fcc_rt_loads =
+            rf.metrics.get("gpu.rt.mem_requests")
+            + rf.metrics.get("gpu.rt.fcc_insert_loads")
+            + rf.metrics.get("gpu.rt.fcc_insert_stores");
         std::printf("FCC on RTV6 (mobile):\n");
         std::printf("  cycles: baseline %llu, FCC %llu -> speedup %.3f "
                     "(paper: ~0.94, a 6%% slowdown)\n",

@@ -56,13 +56,16 @@ main()
     std::printf("mean combined RT occupancy: stack %.1f rays, ITS %.1f "
                 "rays\n",
                 mean_occ(stack), mean_occ(its));
+    auto l1_hits = [](const RunResult &r) {
+        const MetricsRegistry &m = r.metrics;
+        return static_cast<unsigned long long>(
+            m.get("gpu.l1.hits.shader") + m.get("gpu.l1.hits.rtunit")
+            + m.get("gpu.rtcache.hits.shader")
+            + m.get("gpu.rtcache.hits.rtunit"));
+    };
     std::printf("L1 hits: stack %llu, ITS %llu (paper: ITS improves "
                 "cache hits)\n",
-                static_cast<unsigned long long>(
-                    stack.l1.get("hits.shader")
-                    + stack.l1.get("hits.rtunit")),
-                static_cast<unsigned long long>(
-                    its.l1.get("hits.shader") + its.l1.get("hits.rtunit")));
+                l1_hits(stack), l1_hits(its));
 
     std::printf("\n%12s %14s %14s\n", "cycle", "stack rays", "its rays");
     std::size_t n = std::max(stack.occupancyTrace.size(),

@@ -25,12 +25,12 @@ main()
         RunResult run = service::defaultService().submit(workload, baselineGpuConfig()).take().run;
         double total =
             static_cast<double>(std::max<std::uint64_t>(
-                1, run.core.get("issued")));
-        double alu = 100.0 * run.core.get("issue_alu") / total;
-        double mem = 100.0 * run.core.get("issue_ldst") / total;
-        double ctrl = 100.0 * run.core.get("issue_ctrl") / total;
-        double sfu = 100.0 * run.core.get("issue_sfu") / total;
-        double trace = 100.0 * run.core.get("issue_rt") / total;
+                1, run.metrics.get("gpu.core.issued")));
+        double alu = 100.0 * run.metrics.get("gpu.core.issue_alu") / total;
+        double mem = 100.0 * run.metrics.get("gpu.core.issue_ldst") / total;
+        double ctrl = 100.0 * run.metrics.get("gpu.core.issue_ctrl") / total;
+        double sfu = 100.0 * run.metrics.get("gpu.core.issue_sfu") / total;
+        double trace = 100.0 * run.metrics.get("gpu.core.issue_rt") / total;
         std::printf("%-8s %8.1f%% %8.1f%% %8.1f%% %8.1f%% %8.2f%% %13.1f%%\n",
                     workload.name(), alu, mem, ctrl, sfu, trace,
                     100.0 * run.rtActiveFraction());

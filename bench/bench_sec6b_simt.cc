@@ -25,10 +25,11 @@ main()
         wl::Workload workload(id, bench::benchParams(id));
         RunResult run = service::defaultService().submit(workload, baselineGpuConfig()).take().run;
         double rt_eff = 100.0 * run.rtSimtEfficiency();
+        const MetricsRegistry &m = run.metrics;
         double rays_per_warp =
-            run.rt.get("warps_submitted")
-                ? static_cast<double>(run.rt.get("active_ray_cycles"))
-                      / run.rt.get("busy_cycles")
+            m.get("gpu.rt.warps_submitted")
+                ? static_cast<double>(m.get("gpu.rt.active_ray_cycles"))
+                      / m.get("gpu.rt.busy_cycles")
                 : 0.0;
         std::printf("%-8s %13.1f%% %15.1f%% %18.1f\n", workload.name(),
                     100.0 * run.simtEfficiency(), rt_eff, rays_per_warp);

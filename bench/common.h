@@ -41,6 +41,13 @@ benchParams(wl::WorkloadId id)
         p.height = 32;
         p.rtv6Prims = 2000;
         break;
+      case wl::WorkloadId::HYB:
+      case wl::WorkloadId::RQC:
+      case wl::WorkloadId::AHA:
+      case wl::WorkloadId::ACC:
+        p.width = 32;
+        p.height = 32;
+        break;
     }
     return p;
 }

@@ -98,11 +98,11 @@ main(int argc, char **argv)
                 100.0 * fcc_run.simtEfficiency());
     std::printf("%-22s %14llu %14llu\n", "RT-unit mem requests",
                 static_cast<unsigned long long>(
-                    base_run.rt.get("mem_requests")),
+                    base_run.metrics.get("gpu.rt.mem_requests")),
                 static_cast<unsigned long long>(
-                    fcc_run.rt.get("mem_requests")
-                    + fcc_run.rt.get("fcc_insert_loads")
-                    + fcc_run.rt.get("fcc_insert_stores")));
+                    fcc_run.metrics.get("gpu.rt.mem_requests")
+                    + fcc_run.metrics.get("gpu.rt.fcc_insert_loads")
+                    + fcc_run.metrics.get("gpu.rt.fcc_insert_stores")));
     std::printf("%-22s %14.3f\n", "FCC speedup",
                 static_cast<double>(base_run.cycles) / fcc_run.cycles);
 

@@ -85,9 +85,9 @@ main(int argc, char **argv)
                 100.0 * run.rtActiveFraction());
     std::printf("L1: %llu shader accesses, %llu RT-unit accesses\n",
                 static_cast<unsigned long long>(
-                    run.l1.get("accesses.shader")),
+                    run.metrics.get("gpu.l1.accesses.shader")),
                 static_cast<unsigned long long>(
-                    run.l1.get("accesses.rtunit")));
+                    run.metrics.get("gpu.l1.accesses.rtunit")));
     std::printf("DRAM: %.1f%% utilization, %.1f%% efficiency\n",
                 100.0 * run.dramUtilization(),
                 100.0 * run.dramEfficiency());

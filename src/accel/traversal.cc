@@ -435,7 +435,8 @@ RayTraversal::saveState(serial::Writer &w) const
     w.u64(stackSpills_);
 }
 
-RayTraversal::RayTraversal(const GlobalMemory &gmem, serial::Reader &r)
+RayTraversal::RayTraversal(const GlobalMemory &gmem, serial::Reader &r,
+                           unsigned short_stack_entries)
     : gmem_(gmem), sink_(nullptr), flags_(r.u32())
 {
     worldRay_ = getRay(r);
@@ -449,14 +450,20 @@ RayTraversal::RayTraversal(const GlobalMemory &gmem, serial::Reader &r)
         StackEntry e;
         e.addr = r.u64();
         e.type = static_cast<NodeType>(r.u32());
+        if (e.type > NodeType::ProceduralLeaf)
+            throw SimError("traversal snapshot: bad node type");
         e.instance = r.i32();
         return e;
     };
-    shortStack_.resize(r.u64());
+    shortStack_.resize(std::max(1u, short_stack_entries));
+    if (r.u64() != shortStack_.size())
+        throw SimError("traversal snapshot: short stack size differs");
     shortTop_ = r.u32();
+    if (shortTop_ > shortStack_.size())
+        throw SimError("traversal snapshot: short-stack top past its end");
     for (unsigned i = 0; i < shortTop_; ++i)
         shortStack_[i] = get_entry();
-    spilled_.resize(r.u64());
+    spilled_.resize(r.count(16, "spilled stack entries"));
     for (StackEntry &e : spilled_)
         e = get_entry();
     havePending_ = r.b();
@@ -484,7 +491,9 @@ RayTraversal::RayTraversal(const GlobalMemory &gmem, serial::Reader &r)
     hit_.instanceCustomIndex = r.i32();
     hit_.sbtOffset = r.i32();
     hit_.kind = static_cast<HitKind>(r.u8());
-    deferred_.resize(r.u64());
+    if (hit_.kind > HitKind::Procedural)
+        throw SimError("traversal snapshot: bad hit kind");
+    deferred_.resize(r.count(29, "deferred hits"));
     for (DeferredHit &d : deferred_) {
         d.instanceIndex = r.i32();
         d.primitiveIndex = r.i32();

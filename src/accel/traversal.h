@@ -120,8 +120,12 @@ class RayTraversal
      * other field from a stream previously produced by saveState(). The
      * memory-traffic sink is *not* restored — the owning RT unit
      * re-links it via setSink() when it restores its own entries.
+     * `short_stack_entries` is the configured short-stack size; a
+     * stream whose stack differs from it, or whose counts, node types
+     * or hit kind are out of range, throws SimError.
      */
-    RayTraversal(const GlobalMemory &gmem, serial::Reader &r);
+    RayTraversal(const GlobalMemory &gmem, serial::Reader &r,
+                 unsigned short_stack_entries);
 
     /** Serialize the full traversal state (checkpointing). */
     void saveState(serial::Writer &w) const;

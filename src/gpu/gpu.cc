@@ -172,38 +172,53 @@ GpuConfig::validate() const
 double
 RunResult::simtEfficiency() const
 {
-    double issued = static_cast<double>(core.get("issued"));
-    return issued > 0
-               ? core.get("issue_active_lanes") / (issued * kWarpSize)
-               : 0.0;
+    double issued = static_cast<double>(metrics.get("gpu.core.issued"));
+    return issued > 0 ? metrics.get("gpu.core.issue_active_lanes")
+                            / (issued * kWarpSize)
+                      : 0.0;
 }
 
 double
 RunResult::rtSimtEfficiency() const
 {
-    double slots = static_cast<double>(rt.get("slot_ray_cycles"));
-    return slots > 0 ? rt.get("active_ray_cycles") / slots : 0.0;
+    double slots = static_cast<double>(metrics.get("gpu.rt.slot_ray_cycles"));
+    return slots > 0 ? metrics.get("gpu.rt.active_ray_cycles") / slots : 0.0;
 }
 
 double
 RunResult::dramUtilization() const
 {
-    double total = static_cast<double>(dram.get("cycles"));
-    return total > 0 ? dram.get("data_bus_busy") / total : 0.0;
+    double total = static_cast<double>(metrics.get("gpu.dram.cycles"));
+    return total > 0 ? metrics.get("gpu.dram.data_bus_busy") / total : 0.0;
 }
 
 double
 RunResult::dramEfficiency() const
 {
-    double pending = static_cast<double>(dram.get("cycles_with_pending"));
-    return pending > 0 ? dram.get("data_bus_busy") / pending : 0.0;
+    double pending =
+        static_cast<double>(metrics.get("gpu.dram.cycles_with_pending"));
+    return pending > 0 ? metrics.get("gpu.dram.data_bus_busy") / pending
+                       : 0.0;
 }
 
 double
 RunResult::rtActiveFraction() const
 {
-    double denom = static_cast<double>(rt.get("unit_cycles"));
-    return denom > 0 ? rt.get("busy_cycles") / denom : 0.0;
+    double denom = static_cast<double>(metrics.get("gpu.rt.unit_cycles"));
+    return denom > 0 ? metrics.get("gpu.rt.busy_cycles") / denom : 0.0;
+}
+
+void
+RunResult::writeRunGauges()
+{
+    metrics.gauge("gpu.cycles").set(static_cast<double>(cycles));
+    metrics.gauge("gpu.occupancy_samples")
+        .set(static_cast<double>(occupancyTrace.size()));
+    metrics.gauge("gpu.derived.simt_efficiency").set(simtEfficiency());
+    metrics.gauge("gpu.derived.rt_simt_efficiency").set(rtSimtEfficiency());
+    metrics.gauge("gpu.derived.dram_utilization").set(dramUtilization());
+    metrics.gauge("gpu.derived.dram_efficiency").set(dramEfficiency());
+    metrics.gauge("gpu.derived.rt_active_fraction").set(rtActiveFraction());
 }
 
 // --- GpuSimulator -----------------------------------------------------------
@@ -220,8 +235,6 @@ GpuSimulator::run()
     const auto host_start = std::chrono::steady_clock::now();
 
     RunResult result;
-    result.rtWarpLatency =
-        Histogram(kRtLatencyBucketWidth, kRtLatencyBuckets);
 
     MemFabric fabric(config_.fabric, config_.numSms);
     std::vector<std::unique_ptr<SmCore>> sms;
@@ -762,30 +775,11 @@ GpuSimulator::run()
 
     result.cycles = now;
 
-    // Aggregate per-SM statistics in fixed SM order (determinism: the
-    // merge order never depends on the thread count).
-    auto merge = [](StatGroup &dst, const StatGroup &src) {
-        for (const auto &[name, counter] : src.counters())
-            dst.counter(name).inc(counter.value());
-    };
-    for (auto &sm : sms) {
-        merge(result.core, sm->stats());
-        merge(result.rt, sm->rtStats());
-        result.rtWarpLatency.merge(sm->rtLatency());
-        merge(result.l1, sm->l1().stats());
-        if (sm->rtCache())
-            merge(result.l1, sm->rtCache()->stats());
-        result.uopDecodes += sm->uopDecodes();
-    }
-    merge(result.dram, fabric.dramStats());
-    for (unsigned p = 0; p < fabric.numPartitions(); ++p)
-        merge(result.l2, fabric.l2Stats(p));
-
-    // Unified metrics registry: fold every per-SM shard in fixed SM
-    // order (full fidelity — counters *and* accumulators), then the
-    // shared fabric, then derived ratios. Host wall-clock and thread
-    // count are deliberately excluded so the dump is bit-identical for
-    // every thread count.
+    // Fold every per-SM shard into the registry in fixed SM order
+    // (determinism: the fold order never depends on the thread count),
+    // then the shared fabric, then the run gauges. Host wall-clock and
+    // thread count are deliberately excluded so the dump is
+    // bit-identical for every thread count.
     MetricsRegistry &m = result.metrics;
     for (auto &sm : sms) {
         m.importGroup("gpu.core", sm->stats());
@@ -796,20 +790,12 @@ GpuSimulator::run()
         m.histogram("gpu.rt.warp_latency_hist", kRtLatencyBucketWidth,
                     kRtLatencyBuckets)
             .merge(sm->rtLatency());
+        result.uopDecodes += sm->uopDecodes();
     }
     m.importGroup("gpu.dram", fabric.dramStats());
     for (unsigned p = 0; p < fabric.numPartitions(); ++p)
         m.importGroup("gpu.l2", fabric.l2Stats(p));
-    m.gauge("gpu.cycles").set(static_cast<double>(now));
-    m.gauge("gpu.occupancy_samples")
-        .set(static_cast<double>(result.occupancyTrace.size()));
-    m.gauge("gpu.derived.simt_efficiency").set(result.simtEfficiency());
-    m.gauge("gpu.derived.rt_simt_efficiency")
-        .set(result.rtSimtEfficiency());
-    m.gauge("gpu.derived.dram_utilization").set(result.dramUtilization());
-    m.gauge("gpu.derived.dram_efficiency").set(result.dramEfficiency());
-    m.gauge("gpu.derived.rt_active_fraction")
-        .set(result.rtActiveFraction());
+    result.writeRunGauges();
     if (ctx_.gmem) {
         m.gauge("mem.heap_bytes")
             .set(static_cast<double>(ctx_.gmem->brk()));

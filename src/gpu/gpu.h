@@ -186,18 +186,14 @@ GpuConfig mobileGpuConfig();
 struct RunResult
 {
     Cycle cycles = 0;
-    StatGroup core{"core"};   ///< issue mix, SIMT efficiency, stalls
-    StatGroup rt{"rt"};       ///< aggregated RT-unit statistics
-    StatGroup l1{"l1"};       ///< aggregated L1 (+ RT cache) statistics
-    StatGroup dram{"dram"};
-    StatGroup l2{"l2"};
-    Histogram rtWarpLatency;  ///< RT-unit warp latency (Fig. 13)
     std::vector<std::pair<Cycle, unsigned>> occupancyTrace; ///< Fig. 18
 
     /**
-     * The complete observability dump: every subsystem's counters,
-     * accumulators and histograms (per-SM shards folded in fixed SM
-     * order) plus derived ratio gauges. Deliberately excludes host
+     * The run's statistics, and their only copy: every subsystem's
+     * counters, accumulators and histograms ("gpu.core", "gpu.rt" with
+     * the Fig. 13 "gpu.rt.warp_latency_hist", "gpu.l1", "gpu.rtcache",
+     * "gpu.l2", "gpu.dram"; per-SM shards folded in fixed SM order)
+     * plus the run gauges. Deliberately excludes host
      * wall-clock and thread count, so `metrics.toJson()` is byte-
      * identical for every engine thread count (determinism contract).
      */
@@ -269,6 +265,10 @@ struct RunResult
     double dramEfficiency() const;
     /** Fraction of cycles any RT unit was busy. */
     double rtActiveFraction() const;
+
+    /** Set "gpu.cycles", "gpu.occupancy_samples" and one "gpu.derived.*"
+     *  gauge per helper above; rerun after folding in another frame. */
+    void writeRunGauges();
 };
 
 /** RT-warp latency histogram geometry (paper Fig. 13). */

@@ -807,23 +807,9 @@ saveWarp(serial::Writer &w, const vptx::Warp &warp)
     }
 }
 
-/**
- * A count read from a snapshot, bounded by the bytes left before
- * anything is sized by it: each element takes at least `bytes_each`
- * more bytes.
- */
-std::uint64_t
-snapshotCount(serial::Reader &r, std::uint64_t bytes_each, const char *what)
-{
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining() / bytes_each)
-        throw SimError("SM snapshot: " + std::to_string(n) + " " + what
-                       + " in " + std::to_string(r.remaining()) + " bytes");
-    return n;
-}
-
 void
-loadWarp(serial::Reader &r, vptx::Warp &warp, const GlobalMemory &gmem)
+loadWarp(serial::Reader &r, vptx::Warp &warp, const GlobalMemory &gmem,
+         unsigned short_stack_entries)
 {
     warp.warpId = r.u32();
     for (unsigned lane = 0; lane < kWarpSize; ++lane) {
@@ -831,13 +817,13 @@ loadWarp(serial::Reader &r, vptx::Warp &warp, const GlobalMemory &gmem)
         t.rf = &warp.regs;
         t.lane = static_cast<std::uint8_t>(lane);
         const auto nregs =
-            static_cast<std::uint32_t>(snapshotCount(r, 8, "registers"));
+            static_cast<std::uint32_t>(r.count(8, "registers"));
         warp.regs.setLaneSize(lane, nregs);
         std::uint64_t *row = warp.regs.row(lane);
         for (std::uint32_t i = 0; i < nregs; ++i)
             row[i] = r.u64();
         t.windowBase = r.u32();
-        t.callStack.resize(snapshotCount(r, 8, "call frames"));
+        t.callStack.resize(r.count(8, "call frames"));
         for (auto &f : t.callStack) {
             f.retPc = r.u32();
             f.savedWindow = r.u32();
@@ -849,7 +835,7 @@ loadWarp(serial::Reader &r, vptx::Warp &warp, const GlobalMemory &gmem)
         t.exited = r.b();
     }
     warp.cflow.loadState(r);
-    warp.fccRows.resize(snapshotCount(r, 8, "FCC rows"));
+    warp.fccRows.resize(r.count(8, "FCC rows"));
     for (vptx::CoalescedRow &row : warp.fccRows) {
         row.shaderId = r.i32();
         row.mask = r.u32();
@@ -857,7 +843,7 @@ loadWarp(serial::Reader &r, vptx::Warp &warp, const GlobalMemory &gmem)
             e = static_cast<std::uint16_t>(r.u32());
     }
     warp.pendingTraverses.clear();
-    std::uint64_t num_splits = snapshotCount(r, 16, "parked traverses");
+    std::uint64_t num_splits = r.count(16, "parked traverses");
     for (std::uint64_t i = 0; i < num_splits; ++i) {
         int id = r.i32();
         vptx::TraverseState &st = warp.pendingTraverses[id];
@@ -870,7 +856,8 @@ loadWarp(serial::Reader &r, vptx::Warp &warp, const GlobalMemory &gmem)
         for (unsigned lane = 0; lane < kWarpSize; ++lane) {
             Addr fb = r.u64();
             if (r.b())
-                st.addRay(lane, fb, RayTraversal(gmem, r));
+                st.addRay(lane, fb,
+                          RayTraversal(gmem, r, short_stack_entries));
             else
                 st.setFrameBase(lane, fb);
         }
@@ -993,11 +980,11 @@ SmCore::loadState(serial::Reader &r)
         ws.pendingLoads = r.u32();
         ws.nextSplit = r.u32();
         ws.dispatchedAt = r.u64();
-        std::uint64_t num_regs = snapshotCount(r, 4, "pending registers");
+        std::uint64_t num_regs = r.count(4, "pending registers");
         for (std::uint64_t i = 0; i < num_regs; ++i)
             ws.pendingRegs.set(reg(r.i32(), false, "pending"));
         ws.warp = std::make_unique<vptx::Warp>();
-        loadWarp(r, *ws.warp, *ctx_.gmem);
+        loadWarp(r, *ws.warp, *ctx_.gmem, config_.rt.shortStackEntries);
     }
     warpOrder_.clear();
     for (unsigned s = 0; s < warps_.size(); ++s)
@@ -1008,7 +995,7 @@ SmCore::loadState(serial::Reader &r)
                   return warps_[a].warpId < warps_[b].warpId;
               });
     l1Queue_.clear();
-    std::uint64_t num_l1 = snapshotCount(r, 18, "queued L1 requests");
+    std::uint64_t num_l1 = r.count(18, "queued L1 requests");
     for (std::uint64_t i = 0; i < num_l1; ++i) {
         L1Req q;
         q.sector = r.u64();
@@ -1018,7 +1005,7 @@ SmCore::loadState(serial::Reader &r)
         l1Queue_.push_back(q);
     }
     ldstOps_.clear();
-    std::uint64_t num_ops = snapshotCount(r, 20, "LDST ops");
+    std::uint64_t num_ops = r.count(20, "LDST ops");
     for (std::uint64_t i = 0; i < num_ops; ++i) {
         std::uint64_t tag = r.u64();
         LdstOp op;
@@ -1032,7 +1019,7 @@ SmCore::loadState(serial::Reader &r)
     }
     nextLdstTag_ = r.u64();
     writebacks_.clear();
-    std::uint64_t num_wb = snapshotCount(r, 17, "writebacks");
+    std::uint64_t num_wb = r.count(17, "writebacks");
     for (std::uint64_t i = 0; i < num_wb; ++i) {
         PendingWriteback wb;
         wb.at = r.u64();
@@ -1045,7 +1032,7 @@ SmCore::loadState(serial::Reader &r)
         writebacks_.push_back(wb);
     }
     tagReady_ = {};
-    std::uint64_t num_tags = snapshotCount(r, 24, "tag events");
+    std::uint64_t num_tags = r.count(24, "tag events");
     for (std::uint64_t i = 0; i < num_tags; ++i) {
         TagEvent ev;
         ev.at = r.u64();

@@ -11,27 +11,31 @@ estimatePower(const RunResult &run, unsigned num_sms,
         static_cast<double>(run.cycles) / (config.coreClockMhz * 1e6);
 
     constexpr double kPjToJ = 1e-12;
+    const MetricsRegistry &m = run.metrics;
     report.coreDynamicJoules =
-        (run.core.get("issue_alu") * config.aluOpPj
-         + run.core.get("issue_sfu") * config.sfuOpPj
-         + run.core.get("issue_ldst") * config.ldstOpPj)
+        (m.get("gpu.core.issue_alu") * config.aluOpPj
+         + m.get("gpu.core.issue_sfu") * config.sfuOpPj
+         + m.get("gpu.core.issue_ldst") * config.ldstOpPj)
         * kWarpSize * kPjToJ;
 
-    double l1_accesses = run.l1.get("accesses.shader")
-                         + run.l1.get("accesses.rtunit");
-    double l2_accesses = run.l2.get("accesses.shader")
-                         + run.l2.get("accesses.rtunit");
+    // The dedicated RT cache (when configured) is L1-class storage.
+    double l1_accesses =
+        m.get("gpu.l1.accesses.shader") + m.get("gpu.l1.accesses.rtunit")
+        + m.get("gpu.rtcache.accesses.shader")
+        + m.get("gpu.rtcache.accesses.rtunit");
+    double l2_accesses =
+        m.get("gpu.l2.accesses.shader") + m.get("gpu.l2.accesses.rtunit");
     report.cacheJoules = (l1_accesses * config.l1AccessPj
                           + l2_accesses * config.l2AccessPj)
                          * kPjToJ;
 
     report.dramJoules =
-        run.dram.get("requests") * config.dramAccessPj * kPjToJ;
+        m.get("gpu.dram.requests") * config.dramAccessPj * kPjToJ;
 
     report.rtUnitJoules =
-        (run.rt.get("ops_box") * config.rtBoxOpPj
-         + run.rt.get("ops_triangle") * config.rtTriOpPj
-         + run.rt.get("ops_transform") * config.rtTransformOpPj)
+        (m.get("gpu.rt.ops_box") * config.rtBoxOpPj
+         + m.get("gpu.rt.ops_triangle") * config.rtTriOpPj
+         + m.get("gpu.rt.ops_transform") * config.rtTransformOpPj)
         * kPjToJ;
 
     report.constantJoules = config.constantWatts * report.seconds;

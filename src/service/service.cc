@@ -23,27 +23,15 @@ secondsSince(std::chrono::steady_clock::time_point start)
 
 /**
  * Fold frame `r` of a multi-frame run into `total`: cycles and
- * wall-clock add, stat groups / histograms / metrics merge in frame
- * order, occupancy samples are rebased onto the accumulated timeline
- * so the trace stays monotonic, and the frame's digest samples are
- * appended with a record of where the frame begins (see
- * RunResult::digests).
+ * wall-clock add, metrics merge in frame order and the run gauges are
+ * then recomputed over the whole run, occupancy samples are rebased
+ * onto the accumulated timeline so the trace stays monotonic, and the
+ * frame's digest samples are appended with a record of where the frame
+ * begins (see RunResult::digests).
  */
 void
 accumulateFrame(RunResult &total, const RunResult &r)
 {
-    auto merge_group = [](StatGroup &dst, const StatGroup &src) {
-        for (const auto &[name, c] : src.counters())
-            dst.counter(name).inc(c.value());
-        for (const auto &[name, a] : src.accums())
-            dst.accum(name).merge(a);
-    };
-    merge_group(total.core, r.core);
-    merge_group(total.rt, r.rt);
-    merge_group(total.l1, r.l1);
-    merge_group(total.dram, r.dram);
-    merge_group(total.l2, r.l2);
-    total.rtWarpLatency.merge(r.rtWarpLatency);
     for (const auto &[cycle, occ] : r.occupancyTrace)
         total.occupancyTrace.emplace_back(total.cycles + cycle, occ);
     if (r.digests.units != 0)
@@ -54,6 +42,7 @@ accumulateFrame(RunResult &total, const RunResult &r)
                                 r.digests.values.end());
     total.cycles += r.cycles;
     total.metrics.merge(r.metrics);
+    total.writeRunGauges();
     total.hostSeconds += r.hostSeconds;
     total.threadsUsed = r.threadsUsed;
     total.epochCyclesUsed = r.epochCyclesUsed;

@@ -193,33 +193,6 @@ MetricsRegistry::reset()
     }
 }
 
-std::string
-MetricsRegistry::dumpText() const
-{
-    std::ostringstream os;
-    for (const auto &[path, e] : entries_) {
-        switch (e.kind) {
-          case Kind::Counter:
-            os << path << " = " << e.counter.value() << "\n";
-            break;
-          case Kind::Gauge:
-            os << path << " = " << formatJsonNumber(e.gauge.value())
-               << "\n";
-            break;
-          case Kind::Accum:
-            os << path << ".count = " << e.accum.count() << "\n"
-               << path << ".mean = " << formatJsonNumber(e.accum.mean())
-               << "\n";
-            break;
-          case Kind::Histogram:
-            os << path << ".count = " << e.hist->summary().count() << "\n"
-               << path << ".overflow = " << e.hist->overflow() << "\n";
-            break;
-        }
-    }
-    return os.str();
-}
-
 void
 MetricsRegistry::writeJson(std::ostream &os, unsigned indent) const
 {

@@ -92,9 +92,6 @@ class MetricsRegistry
     /** Reset every metric to its zero state (paths are kept). */
     void reset();
 
-    /** "path = value" lines, sorted by path. */
-    std::string dumpText() const;
-
     /**
      * Deterministic JSON dump: one object with "counters", "gauges",
      * "accumulators" and "histograms" sections, keys sorted, doubles in

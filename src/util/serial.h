@@ -187,6 +187,19 @@ class Reader
         pos_ += size;
     }
 
+    /** An element count, bounded by the bytes left: each element takes
+     *  at least `bytes_each` more, so a crafted count throws SimError. */
+    std::uint64_t
+    count(std::uint64_t bytes_each, const char *what)
+    {
+        const std::uint64_t n = u64();
+        if (n > remaining() / bytes_each)
+            throw SimError("serialized payload: " + std::to_string(n) + " "
+                           + what + " in " + std::to_string(remaining())
+                           + " bytes");
+        return n;
+    }
+
     std::size_t remaining() const { return size_ - pos_; }
     bool done() const { return pos_ == size_; }
 

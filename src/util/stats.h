@@ -127,8 +127,6 @@ class Accumulator
 class Histogram
 {
   public:
-    Histogram() : Histogram(1.0, 32) {}
-
     Histogram(double bucket_width, unsigned num_buckets)
         : bucketWidth_(bucket_width), buckets_(num_buckets, 0)
     {

@@ -379,14 +379,17 @@ WarpCflow::saveState(serial::Writer &w) const
 void
 WarpCflow::loadState(serial::Reader &r)
 {
-    mode_ = r.u8() ? Mode::Its : Mode::Stack;
-    stack_.resize(r.u64());
+    const std::uint8_t mode = r.u8();
+    if (mode > 1)
+        throw SimError("control-flow snapshot: bad mode byte");
+    mode_ = mode ? Mode::Its : Mode::Stack;
+    stack_.resize(r.count(12, "reconvergence stack entries"));
     for (StackEntry &e : stack_) {
         e.pc = r.u32();
         e.reconv = r.u32();
         e.mask = r.u32();
     }
-    splits_.resize(r.u64());
+    splits_.resize(r.count(17, "warp splits"));
     for (WarpSplit &s : splits_) {
         s.pc = r.u32();
         s.mask = r.u32();

@@ -316,7 +316,7 @@ TEST(CheckEndToEndTest, FullCheckCleanWithAnyHitSuspensions)
     cfg.checkLevel = check::CheckLevel::Full;
     cfg.threads = 1;
     RunResult r = service::defaultService().submit(w, cfg).take().run;
-    EXPECT_GT(r.rt.get("anyhit_suspended"), 0u);
+    EXPECT_GT(r.metrics.get("gpu.rt.anyhit_suspended"), 0u);
 }
 
 TEST(CheckEndToEndTest, FullCheckCleanWithRayQueryFrames)

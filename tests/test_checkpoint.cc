@@ -421,6 +421,15 @@ TEST(CheckpointTest, ResumeRejectsDifferentStructuralConfig)
               gpuConfigDigest(structural));
 }
 
+/** Overwrite `bytes` little-endian bytes of `b` at `at` with `v`. */
+void
+patch(std::vector<std::uint8_t> &b, std::size_t at, std::uint64_t v,
+      unsigned bytes)
+{
+    for (unsigned i = 0; i < bytes; ++i)
+        b.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 /**
  * A crafted snapshot under a valid config digest is rejected with
  * SimError — never an abort, an allocation failure or a silent misread.
@@ -444,11 +453,6 @@ TEST(CheckpointTest, ResumeRejectsMalformedSnapshotBytes)
             v |= std::uint64_t(b.at(at + i)) << (8 * i);
         return v;
     };
-    auto put = [](std::vector<std::uint8_t> &b, std::size_t at,
-                  std::uint64_t v, unsigned bytes) {
-        for (unsigned i = 0; i < bytes; ++i)
-            b.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
-    };
     const std::uint64_t pages = get64(good, 8);
     ASSERT_GT(pages, 0u);
     const std::size_t cursors = 16 + pages * (16 + GlobalMemory::kPageSize);
@@ -463,23 +467,23 @@ TEST(CheckpointTest, ResumeRejectsMalformedSnapshotBytes)
         cases = {
             {"one trailing byte", [](auto &b) { b.push_back(0); }},
             {"page length 2^40",
-             [&](auto &b) { put(b, 24, 1ull << 40, 8); }},
-            {"page count 2^60", [&](auto &b) { put(b, 8, 1ull << 60, 8); }},
+             [&](auto &b) { patch(b, 24, 1ull << 40, 8); }},
+            {"page count 2^60", [&](auto &b) { patch(b, 8, 1ull << 60, 8); }},
             {"page index past the address space",
-             [&](auto &b) { put(b, 16, 1ull << 60, 8); }},
+             [&](auto &b) { patch(b, 16, 1ull << 60, 8); }},
             {"next warp past the launch",
-             [&](auto &b) { put(b, cursors, 0xFFFFFFFFu, 4); }},
+             [&](auto &b) { patch(b, cursors, 0xFFFFFFFFu, 4); }},
             {"round-robin SM past the machine",
-             [&](auto &b) { put(b, cursors + 4, cfg.numSms, 4); }},
+             [&](auto &b) { patch(b, cursors + 4, cfg.numSms, 4); }},
             {"scheduler unit count",
-             [&](auto &b) { put(b, cursors + 8, cfg.numSms + 1, 8); }},
+             [&](auto &b) { patch(b, cursors + 8, cfg.numSms + 1, 8); }},
             {"SM asleep since after the snapshot",
              [&](auto &b) {
-                 put(b, cursors + 16, 0, 1); // SM 0 asleep...
-                 put(b, cursors + 17, 1ull << 40, 8); // ...from 2^40
+                 patch(b, cursors + 16, 0, 1); // SM 0 asleep...
+                 patch(b, cursors + 17, 1ull << 40, 8); // ...from 2^40
              }},
             {"occupancy count 2^60",
-             [&](auto &b) { put(b, occupancy, 1ull << 60, 8); }},
+             [&](auto &b) { patch(b, occupancy, 1ull << 60, 8); }},
         };
     for (const auto &[name, corrupt] : cases) {
         auto snap = std::make_shared<EngineSnapshot>(*run.snapshot);
@@ -646,6 +650,119 @@ TEST(CheckpointTest, SmCoreRejectsMalformedState)
     rejects(img, "greedy warp slot");
     img.greedy = -2;
     rejects(img, "greedy warp slot");
+}
+
+/**
+ * The parked-traverse decoder must reject a crafted ray state with
+ * SimError: a short stack of another size than the configured one, a
+ * stack top past its end (formerly a heap overflow), spilled or deferred
+ * counts the remaining bytes cannot hold, and out-of-range node types
+ * or hit kinds. Layout of a fresh traversal: flags, two rays, two
+ * inverse directions and three i32s (104 bytes), the short-stack size
+ * (u64), its top (u32), one 16-byte root entry (address, node type,
+ * instance), the spilled count (u64), three flag bytes, the any-hit
+ * group mask (u64), the suspension byte, the 28-byte hit record, the hit
+ * kind (u8), the deferred count (u64) and five u64 counters.
+ */
+TEST(CheckpointTest, RayTraversalRejectsMalformedState)
+{
+    constexpr unsigned kEntries = 8;
+    constexpr std::size_t kShortSize = 104, kShortTop = 112,
+                          kRootType = 124, kSpilled = 132, kHitKind = 180,
+                          kDeferred = 181;
+    Workload wl(WorkloadId::TRI, tinyParams());
+    const GlobalMemory &gmem = *wl.launch().gmem;
+    Ray ray;
+    ray.direction = Vec3{0.f, 0.f, -1.f};
+    ray.tmax = 100.f;
+    serial::Writer w;
+    RayTraversal(gmem, 0x1000, ray, kRayFlagNone, nullptr, kEntries)
+        .saveState(w);
+    const std::vector<std::uint8_t> good = w.take();
+    ASSERT_EQ(good.size(), kDeferred + 8 + 5 * 8);
+
+    auto load_error = [&](const std::vector<std::uint8_t> &bytes,
+                          unsigned entries) -> std::string {
+        serial::Reader r(bytes);
+        try {
+            RayTraversal t(gmem, r, entries);
+            EXPECT_TRUE(r.done());
+        } catch (const SimError &e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_EQ(load_error(good, kEntries), "");
+
+    auto rejects = [&](std::size_t at, std::uint64_t v, unsigned bytes,
+                       const char *why) {
+        std::vector<std::uint8_t> bad = good;
+        patch(bad, at, v, bytes);
+        const std::string error = load_error(bad, kEntries);
+        EXPECT_NE(error.find(why), std::string::npos)
+            << "expected \"" << why << "\", got \"" << error << "\"";
+    };
+    EXPECT_NE(load_error(good, 4).find("short stack"), std::string::npos);
+    rejects(kShortSize, 1ull << 60, 8, "short stack");
+    rejects(kShortTop, kEntries + 1, 4, "short-stack top");
+    rejects(kShortTop, 0xFFFFFFFFu, 4, "short-stack top");
+    rejects(kRootType, 99, 4, "node type");
+    rejects(kSpilled, 1ull << 60, 8, "spilled stack entries");
+    rejects(kSpilled, 6, 8, "spilled stack entries");
+    rejects(kHitKind, 3, 1, "hit kind");
+    rejects(kDeferred, 1ull << 60, 8, "deferred hits");
+    rejects(kDeferred, 2, 8, "deferred hits");
+}
+
+/**
+ * WarpCflow::loadState must bound its stack and split counts by the
+ * bytes left (SimError, not length_error/bad_alloc) and reject a mode
+ * byte other than 0 (stack) or 1 (ITS). Layout: mode (u8), stack count
+ * (u64) and 12-byte entries, split count (u64) and 17-byte splits, the
+ * next split id (i32) and the stack-blocked byte.
+ */
+TEST(CheckpointTest, WarpCflowRejectsMalformedState)
+{
+    auto craft = [](std::uint8_t mode, std::uint64_t stack,
+                    std::uint64_t splits) {
+        serial::Writer w;
+        w.u8(mode);
+        w.u64(stack);
+        w.u64(splits);
+        w.i32(0);
+        w.b(false);
+        return w.take();
+    };
+    auto load_error = [](const std::vector<std::uint8_t> &bytes) {
+        serial::Reader r(bytes);
+        vptx::WarpCflow cflow;
+        try {
+            cflow.loadState(r);
+        } catch (const SimError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_EQ(load_error(craft(0, 0, 0)), "");
+    EXPECT_EQ(load_error(craft(1, 0, 0)), "");
+
+    vptx::WarpCflow live;
+    live.init(0, 0xFFFFFFFFu, vptx::WarpCflow::Mode::Stack);
+    serial::Writer w;
+    live.saveState(w);
+    EXPECT_EQ(load_error(w.take()), "");
+
+    EXPECT_NE(load_error(craft(2, 0, 0)).find("mode"), std::string::npos);
+    EXPECT_NE(load_error(craft(0xFF, 0, 0)).find("mode"), std::string::npos);
+    EXPECT_NE(load_error(craft(0, 1ull << 60, 0))
+                  .find("reconvergence stack entries"),
+              std::string::npos);
+    EXPECT_NE(load_error(craft(0, 2, 0)).find("reconvergence stack entries"),
+              std::string::npos);
+    EXPECT_NE(load_error(craft(1, 0, 1ull << 60)).find("warp splits"),
+              std::string::npos);
+    EXPECT_NE(load_error(craft(1, 0, ~0ull)).find("warp splits"),
+              std::string::npos);
 }
 
 TEST(CheckpointTest, ValidateRejectsBadCheckpointCombos)

@@ -130,7 +130,7 @@ TEST(EpochEngineTest, InjectedFaultIsLocalizedDuringAnyHitSuspension)
     GpuConfig ref_cfg = epochConfig(64);
     Workload ref_wl(WorkloadId::AHA, tinyParams());
     RunResult ref = service::defaultService().submit(ref_wl, ref_cfg).take().run;
-    ASSERT_GT(ref.rt.get("anyhit_suspended"), 0u);
+    ASSERT_GT(ref.metrics.get("gpu.rt.anyhit_suspended"), 0u);
 
     // Mid-run and mid-epoch (odd, so never a multiple of 64): with
     // hundreds of multi-cycle suspensions the middle of the run always

@@ -99,8 +99,11 @@ TEST(GpuTest, SmallerL1IncreasesMisses)
         GpuConfig cfg = smallConfig();
         cfg.l1.sizeBytes = l1_size;
         RunResult r = service::defaultService().submit(w, cfg).take().run;
-        return r.l1.get("miss_capacity_conflict.shader")
-               + r.l1.get("miss_capacity_conflict.rtunit");
+        const MetricsRegistry &m = r.metrics;
+        return m.get("gpu.l1.miss_capacity_conflict.shader")
+               + m.get("gpu.l1.miss_capacity_conflict.rtunit")
+               + m.get("gpu.rtcache.miss_capacity_conflict.shader")
+               + m.get("gpu.rtcache.miss_capacity_conflict.rtunit");
     };
     EXPECT_GT(misses(2 * 1024), misses(64 * 1024));
 }
@@ -136,7 +139,7 @@ TEST(GpuTest, RtStallCounterFiresWhenUnitSaturated)
     GpuConfig cfg = smallConfig(1);
     cfg.rt.maxWarps = 1; // single RT slot: issue stalls expected
     RunResult run = service::defaultService().submit(w, cfg).take().run;
-    EXPECT_GT(run.core.get("stall_rt_full"), 0u);
+    EXPECT_GT(run.metrics.get("gpu.core.stall_rt_full"), 0u);
 }
 
 TEST(GpuTest, AllIssuedWorkIsAccounted)
@@ -147,14 +150,15 @@ TEST(GpuTest, AllIssuedWorkIsAccounted)
         cfg.sched = sched;
         RunResult run = service::defaultService().submit(w, cfg).take().run;
         // Per-unit issue counts sum to the total.
-        EXPECT_EQ(run.core.get("issued"),
-                  run.core.get("issue_alu") + run.core.get("issue_sfu")
-                      + run.core.get("issue_ldst")
-                      + run.core.get("issue_rt")
-                      + run.core.get("issue_ctrl"));
+        const MetricsRegistry &m = run.metrics;
+        EXPECT_EQ(m.get("gpu.core.issued"),
+                  m.get("gpu.core.issue_alu") + m.get("gpu.core.issue_sfu")
+                      + m.get("gpu.core.issue_ldst")
+                      + m.get("gpu.core.issue_rt")
+                      + m.get("gpu.core.issue_ctrl"));
         // Each trace-ray issue corresponds to one RT-unit warp.
-        EXPECT_EQ(run.core.get("issue_rt"),
-                  run.rt.get("warps_submitted"));
+        EXPECT_EQ(m.get("gpu.core.issue_rt"),
+                  m.get("gpu.rt.warps_submitted"));
     }
 }
 
@@ -169,7 +173,7 @@ TEST(GpuTest, FunctionalAndTimedInstructionCountsMatch)
 
     Workload wt(WorkloadId::REF, p);
     RunResult run = service::defaultService().submit(wt, smallConfig()).take().run;
-    EXPECT_EQ(run.core.get("issued"), fstats.get("instructions"));
+    EXPECT_EQ(run.metrics.get("gpu.core.issued"), fstats.get("instructions"));
 }
 
 TEST(GpuTest, MobileConfigIsSlowerThanBaseline)

@@ -388,42 +388,90 @@ TEST(TimelineTest, FullRunTraceParsesBack)
 // The per-run registry built by the engine
 // ---------------------------------------------------------------------
 
+GpuConfig
+runConfig()
+{
+    GpuConfig config = baselineGpuConfig();
+    config.numSms = 2;
+    config.fabric.numPartitions = 1;
+    config.threads = 1;
+    return config;
+}
+
+/** The run gauges describe exactly the run's cycles and counters. */
+void
+expectRunGaugesMatchHelpers(const RunResult &run)
+{
+    const MetricsRegistry &m = run.metrics;
+    EXPECT_EQ(m.gaugeValue("gpu.cycles"), static_cast<double>(run.cycles));
+    EXPECT_EQ(m.gaugeValue("gpu.occupancy_samples"),
+              static_cast<double>(run.occupancyTrace.size()));
+    EXPECT_EQ(m.gaugeValue("gpu.derived.simt_efficiency"),
+              run.simtEfficiency());
+    EXPECT_EQ(m.gaugeValue("gpu.derived.rt_simt_efficiency"),
+              run.rtSimtEfficiency());
+    EXPECT_EQ(m.gaugeValue("gpu.derived.dram_utilization"),
+              run.dramUtilization());
+    EXPECT_EQ(m.gaugeValue("gpu.derived.dram_efficiency"),
+              run.dramEfficiency());
+    EXPECT_EQ(m.gaugeValue("gpu.derived.rt_active_fraction"),
+              run.rtActiveFraction());
+}
+
 TEST(RunMetricsTest, RegistryMirrorsLegacyGroupsAndAddsDerived)
 {
     wl::WorkloadParams params;
     params.width = 8;
     params.height = 8;
-    GpuConfig config = baselineGpuConfig();
-    config.numSms = 2;
-    config.fabric.numPartitions = 1;
-    config.threads = 1;
+    GpuConfig config = runConfig();
 
     wl::Workload workload(wl::WorkloadId::TRI, params);
     RunResult run = service::defaultService().submit(workload, config).take().run;
 
-    // Counters mirror the merged legacy groups exactly.
-    EXPECT_EQ(run.metrics.get("gpu.core.issued"), run.core.get("issued"));
-    EXPECT_EQ(run.metrics.get("gpu.rt.warps_submitted"),
-              run.rt.get("warps_submitted"));
-    EXPECT_EQ(run.metrics.get("gpu.l1.accesses.shader"),
-              run.l1.get("accesses.shader"));
-    EXPECT_EQ(run.metrics.get("gpu.dram.requests"),
-              run.dram.get("requests"));
-    EXPECT_EQ(run.metrics.get("gpu.l2.accesses.shader"),
-              run.l2.get("accesses.shader"));
+    // Every subsystem's counters are folded in.
+    const MetricsRegistry &m = run.metrics;
+    EXPECT_GT(m.get("gpu.core.issued"), 0u);
+    EXPECT_GT(m.get("gpu.rt.warps_submitted"), 0u);
+    EXPECT_GT(m.get("gpu.l1.accesses.shader"), 0u);
+    EXPECT_GT(m.get("gpu.dram.requests"), 0u);
+    EXPECT_GT(m.get("gpu.l2.accesses.shader"), 0u);
 
-    // Engine-level gauges.
-    EXPECT_EQ(run.metrics.gaugeValue("gpu.cycles"),
-              static_cast<double>(run.cycles));
-    EXPECT_EQ(run.metrics.gaugeValue("gpu.derived.simt_efficiency"),
-              run.simtEfficiency());
-    EXPECT_GT(run.metrics.gaugeValue("mem.heap_bytes"), 0.0);
+    // Engine-level gauges, each derived gauge equal to its helper.
+    expectRunGaugesMatchHelpers(run);
+    EXPECT_GT(run.simtEfficiency(), 0.0);
+    EXPECT_GT(m.gaugeValue("mem.heap_bytes"), 0.0);
 
-    // The RT warp-latency histogram rides along with full geometry.
-    const Histogram *h = run.metrics.findHistogram("gpu.rt.warp_latency_hist");
+    // The RT warp-latency histogram rides along with full geometry and
+    // one sample per RT warp.
+    const Histogram *h = m.findHistogram("gpu.rt.warp_latency_hist");
     ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->summary().count(), run.rtWarpLatency.summary().count());
-    EXPECT_EQ(h->buckets(), run.rtWarpLatency.buckets());
+    EXPECT_EQ(h->bucketWidth(), kRtLatencyBucketWidth);
+    EXPECT_EQ(h->buckets().size(), kRtLatencyBuckets);
+    EXPECT_EQ(h->summary().count(), m.get("gpu.rt.warps_completed"));
+}
+
+TEST(RunMetricsTest, MultiFrameGaugesDescribeTheWholeRun)
+{
+    // Frames fold into one registry; the run gauges must then be
+    // recomputed over all of them, not keep the last frame's values.
+    wl::WorkloadParams params;
+    params.width = 8;
+    params.height = 8;
+    params.frames = 2;
+    GpuConfig config = runConfig();
+    config.occupancySamplePeriod = 64;
+
+    wl::Workload workload(wl::WorkloadId::ACC, params);
+    RunResult run =
+        service::defaultService().submit(workload, config).take().run;
+    ASSERT_GT(run.occupancyTrace.size(), 0u);
+
+    expectRunGaugesMatchHelpers(run);
+    const Histogram *h =
+        run.metrics.findHistogram("gpu.rt.warp_latency_hist");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->summary().count(),
+              run.metrics.get("gpu.rt.warps_completed"));
 }
 
 } // namespace

@@ -68,16 +68,19 @@ TEST(TimedStatsTest, CountersAreConsistent)
     Workload workload(WorkloadId::EXT, tinyParams(WorkloadId::EXT));
     RunResult run = service::defaultService().submit(workload, fastConfig()).take().run;
 
+    const MetricsRegistry &m = run.metrics;
+
     // Issue mix sums to total issues.
-    std::uint64_t mix = run.core.get("issue_alu") + run.core.get("issue_sfu")
-                        + run.core.get("issue_ldst")
-                        + run.core.get("issue_rt")
-                        + run.core.get("issue_ctrl");
-    EXPECT_EQ(mix, run.core.get("issued"));
+    std::uint64_t mix = m.get("gpu.core.issue_alu")
+                        + m.get("gpu.core.issue_sfu")
+                        + m.get("gpu.core.issue_ldst")
+                        + m.get("gpu.core.issue_rt")
+                        + m.get("gpu.core.issue_ctrl");
+    EXPECT_EQ(mix, m.get("gpu.core.issued"));
 
     // Every submitted RT warp completed.
-    EXPECT_EQ(run.rt.get("warps_submitted"), run.rt.get("warps_completed"));
-    EXPECT_GT(run.rt.get("warps_submitted"), 0u);
+    EXPECT_EQ(m.get("gpu.rt.warps_submitted"), m.get("gpu.rt.warps_completed"));
+    EXPECT_GT(m.get("gpu.rt.warps_submitted"), 0u);
 
     // SIMT efficiencies are probabilities.
     EXPECT_GT(run.simtEfficiency(), 0.0);
@@ -88,16 +91,19 @@ TEST(TimedStatsTest, CountersAreConsistent)
     EXPECT_LE(run.dramEfficiency(), 1.0001);
 
     // Caches saw both shader and RT-unit traffic.
-    EXPECT_GT(run.l1.get("accesses.shader"), 0u);
-    EXPECT_GT(run.l1.get("accesses.rtunit"), 0u);
+    EXPECT_GT(m.get("gpu.l1.accesses.shader"), 0u);
+    EXPECT_GT(m.get("gpu.l1.accesses.rtunit"), 0u);
 }
 
 TEST(TimedStatsTest, RtWarpLatencyHistogramFilled)
 {
     Workload workload(WorkloadId::REF, tinyParams(WorkloadId::REF));
     RunResult run = service::defaultService().submit(workload, fastConfig()).take().run;
-    EXPECT_GT(run.rtWarpLatency.summary().count(), 0u);
-    EXPECT_GT(run.rtWarpLatency.summary().max(), 0.0);
+    const Histogram *h =
+        run.metrics.findHistogram("gpu.rt.warp_latency_hist");
+    ASSERT_NE(h, nullptr);
+    EXPECT_GT(h->summary().count(), 0u);
+    EXPECT_GT(h->summary().max(), 0.0);
 }
 
 TEST(MemoryVariantTest, PerfectVariantsAreFaster)
@@ -132,17 +138,18 @@ TEST(MemoryVariantTest, ModernMemRendersCorrectlyAndCountsSectors)
     EXPECT_EQ(diff.differingPixels, 0u);
 
     // Every line miss is also a sector miss; refreshes fired.
-    std::uint64_t sector_misses = run.l1.get("sector_miss.shader")
-                                  + run.l1.get("sector_miss.rtunit");
-    std::uint64_t line_misses = run.l1.get("line_miss.shader")
-                                + run.l1.get("line_miss.rtunit");
+    const MetricsRegistry &m = run.metrics;
+    std::uint64_t sector_misses = m.get("gpu.l1.sector_miss.shader")
+                                  + m.get("gpu.l1.sector_miss.rtunit");
+    std::uint64_t line_misses = m.get("gpu.l1.line_miss.shader")
+                                + m.get("gpu.l1.line_miss.rtunit");
     EXPECT_GT(sector_misses, 0u);
     EXPECT_GT(line_misses, 0u);
     EXPECT_LE(line_misses, sector_misses);
-    EXPECT_GT(run.dram.get("refreshes"), 0u);
+    EXPECT_GT(m.get("gpu.dram.refreshes"), 0u);
     // The streaming policy made an allocate/bypass decision per fill.
-    EXPECT_GT(run.l1.get("streaming_alloc_fills")
-                  + run.l1.get("streaming_bypass_fills"),
+    EXPECT_GT(m.get("gpu.l1.streaming_alloc_fills")
+                  + m.get("gpu.l1.streaming_bypass_fills"),
               0u);
 }
 
@@ -241,9 +248,10 @@ TEST(FccTest, TimedFccRendersCorrectlyAndAddsRtLoads)
                   .differingPixels,
               0u);
     // FCC adds coalescing-buffer loads in the RT unit (paper Sec. VI-E).
-    EXPECT_GT(rf.rt.get("fcc_insert_loads") + rf.rt.get("fcc_insert_stores"),
+    EXPECT_GT(rf.metrics.get("gpu.rt.fcc_insert_loads")
+                  + rf.metrics.get("gpu.rt.fcc_insert_stores"),
               0u);
-    EXPECT_EQ(rb.rt.get("fcc_insert_loads"), 0u);
+    EXPECT_EQ(rb.metrics.get("gpu.rt.fcc_insert_loads"), 0u);
 }
 
 TEST(PowerTest, BreakdownMatchesPaperShape)

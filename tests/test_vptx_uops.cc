@@ -693,12 +693,13 @@ TEST(DecodeCountTest, TimedDecodesEqualIssueAttempts)
     cfg.numSms = 2;
     cfg.fabric.numPartitions = 2;
     RunResult run = service::defaultService().submit(w, cfg).take().run;
-    EXPECT_GT(run.core.get("issued"), 0u);
+    const MetricsRegistry &m = run.metrics;
+    EXPECT_GT(m.get("gpu.core.issued"), 0u);
     EXPECT_EQ(run.uopDecodes,
-              run.core.get("issued") + run.core.get("stall_scoreboard")
-                  + run.core.get("stall_ldst_queue")
-                  + run.core.get("stall_sfu")
-                  + run.core.get("stall_rt_full"));
+              m.get("gpu.core.issued") + m.get("gpu.core.stall_scoreboard")
+                  + m.get("gpu.core.stall_ldst_queue")
+                  + m.get("gpu.core.stall_sfu")
+                  + m.get("gpu.core.stall_rt_full"));
 }
 
 } // namespace

@@ -170,7 +170,8 @@ main(int argc, char **argv)
         std::ofstream os(outdir + "/fig13_warp_latency.csv");
         os << "scene,bucket_lo_cycles,bucket_hi_cycles,warps\n";
         for (const SceneReport &rep : reports) {
-            const Histogram &h = rep.run().rtWarpLatency;
+            const Histogram &h =
+                *rep.run().metrics.findHistogram("gpu.rt.warp_latency_hist");
             for (std::size_t b = 0; b < h.buckets().size(); ++b) {
                 if (h.buckets()[b] == 0)
                     continue;
