@@ -428,8 +428,9 @@ BENCHMARK(BM_CacheAccess)->Arg(0)->Arg(1);
 
 /**
  * One DRAM channel tick as the fabric drives it (DramChannel::tick(): a
- * real tick — the bank pass plus the FR-FCFS scan — when an event is
- * due, else a skipped one settled later). Arg 0 is the queue depth (4,
+ * real tick — one pass over the banks that makes the FR-FCFS pick from
+ * the ready banks' per-bank request lists — when an event is due, else
+ * a skipped one settled later). Arg 0 is the queue depth (4,
  * or the baseline queue size 64), Arg 1 picks the Table III baseline
  * timings (0) or the modern bank-group, tRRD and refresh timings (1),
  * Arg 2 the traffic: 0 refills the queue to its depth after every tick,

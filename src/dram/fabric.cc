@@ -18,9 +18,8 @@ DramChannel::DramChannel(const DramConfig &config, bool perfect,
       stats_(stats)
 {
     banks_.resize(config_.banks);
-    issue_.resize(config_.banks, 0);
-    bankQueued_.resize(config_.banks, 0);
-    bankQueuedHits_.resize(config_.banks, 0);
+    pool_.resize(config_.queueSize);
+    clearQueue();
     if (config_.bankGroups > 0) {
         groupNextColumnAt_.resize(config_.bankGroups, 0);
         // Row-interleaved consecutive banks land in different groups.
@@ -32,15 +31,66 @@ DramChannel::DramChannel(const DramConfig &config, bool perfect,
     nextEvent_ = earliestEvent();
 }
 
-DramChannel::Queued
-DramChannel::decode(const MemRequest &req) const
+DramChannel::Slot
+DramChannel::push(const MemRequest &req)
 {
-    Queued q;
+    const Slot s = free_;
+    Queued &q = pool_[s];
+    free_ = q.next;
     q.req = req;
     q.bank = static_cast<unsigned>((req.addr / config_.rowBytes)
                                    % config_.banks);
     q.row = req.addr / (config_.rowBytes * config_.banks);
-    return q;
+    q.seq = nextSeq_++;
+    Bank &bank = banks_[q.bank];
+    q.prev = queue_.tail;
+    q.next = kNil;
+    (queue_.tail != kNil ? pool_[queue_.tail].next : queue_.head) = s;
+    queue_.tail = s;
+    q.bankPrev = bank.queue.tail;
+    q.bankNext = kNil;
+    (bank.queue.tail != kNil ? pool_[bank.queue.tail].bankNext
+                             : bank.queue.head) = s;
+    bank.queue.tail = s;
+    ++queued_;
+    ++bank.queued;
+    bank.queuedHits += q.row == bank.openRow;
+    return s;
+}
+
+void
+DramChannel::unlink(Slot s)
+{
+    Queued &q = pool_[s];
+    Bank &bank = banks_[q.bank];
+    (q.prev != kNil ? pool_[q.prev].next : queue_.head) = q.next;
+    (q.next != kNil ? pool_[q.next].prev : queue_.tail) = q.prev;
+    (q.bankPrev != kNil ? pool_[q.bankPrev].bankNext : bank.queue.head) =
+        q.bankNext;
+    (q.bankNext != kNil ? pool_[q.bankNext].bankPrev : bank.queue.tail) =
+        q.bankPrev;
+    --queued_;
+    --bank.queued;
+    bank.queuedHits -= q.row == bank.openRow;
+    q.next = free_;
+    free_ = s;
+}
+
+void
+DramChannel::clearQueue()
+{
+    free_ = kNil;
+    for (Slot s = static_cast<Slot>(pool_.size()); s-- > 0;) {
+        pool_[s].next = free_;
+        free_ = s;
+    }
+    queue_ = List{};
+    queued_ = 0;
+    for (Bank &b : banks_) {
+        b.queue = List{};
+        b.queued = 0;
+        b.queuedHits = 0;
+    }
 }
 
 std::uint64_t
@@ -73,35 +123,25 @@ DramChannel::earliestEvent() const
     std::uint64_t next = nextRefreshAt_ != 0 ? nextRefreshAt_
                                              : kNoPendingEvent;
     if (perfect_)
-        return queue_.empty() ? next : 0;
+        return queued_ == 0 ? next : 0;
     for (const Inflight &f : inflight_)
         next = std::min(next, f.doneAt);
     // A row miss never issues before a row hit to the same bank, so a
     // bank's soonest queued request is a hit whenever it holds one.
     for (unsigned b = 0; b < banks_.size(); ++b)
-        if (bankQueued_[b] > 0)
-            next = std::min(next, bankIssueAt(b, bankQueuedHits_[b] > 0));
+        if (banks_[b].queued > 0)
+            next = std::min(next,
+                            bankIssueAt(b, banks_[b].queuedHits > 0));
     return next;
 }
 
 void
-DramChannel::recountHits(unsigned bank)
+DramChannel::recountHits(Bank &bank)
 {
     unsigned hits = 0;
-    for (const Queued &q : queue_)
-        hits += q.bank == bank && q.row == banks_[bank].openRow;
-    bankQueuedHits_[bank] = hits;
-}
-
-void
-DramChannel::rebuildBankCounts()
-{
-    std::fill(bankQueued_.begin(), bankQueued_.end(), 0);
-    std::fill(bankQueuedHits_.begin(), bankQueuedHits_.end(), 0);
-    for (const Queued &q : queue_) {
-        ++bankQueued_[q.bank];
-        bankQueuedHits_[q.bank] += q.row == banks_[q.bank].openRow;
-    }
+    for (Slot s = bank.queue.head; s != kNil; s = pool_[s].bankNext)
+        hits += pool_[s].row == bank.openRow;
+    bank.queuedHits = hits;
 }
 
 void
@@ -116,10 +156,10 @@ DramChannel::processRefresh()
         for (Bank &b : banks_) {
             b.openRow = ~Addr(0);
             b.readyAt = std::max(b.readyAt, nowDram_ + config_.tRfc);
+            recountHits(b);
         }
         stats_->counter(slots_.refreshes).inc();
         nextRefreshAt_ += config_.tRefi;
-        rebuildBankCounts();
     }
 }
 
@@ -128,15 +168,11 @@ DramChannel::enqueue(const MemRequest &req)
 {
     vksim_assert(canAccept());
     settle();
-    queue_.push_back(decode(req));
-    const Queued &q = queue_.back();
-    ++bankQueued_[q.bank];
-    bankQueuedHits_[q.bank] += q.row == banks_[q.bank].openRow;
+    const Slot s = push(req);
     // Nothing else changed, so the cached minimum only needs the new
     // request's own issue tick.
     nextEvent_ = perfect_ ? 0
-                          : std::min(nextEvent_,
-                                     earliestIssue(queue_.back()));
+                          : std::min(nextEvent_, earliestIssue(pool_[s]));
 }
 
 void
@@ -156,7 +192,7 @@ DramChannel::settle()
         return until > from + 1 ? std::min(until - 1 - from, span) : 0;
     };
     stats_->counter(slots_.cycles).inc(span);
-    if (!queue_.empty() || !inflight_.empty())
+    if (queued_ > 0 || !inflight_.empty())
         stats_->counter(slots_.pending).inc(span);
     std::uint64_t blp_samples = 0;
     std::uint64_t blp_sum = 0;
@@ -174,40 +210,54 @@ DramChannel::settle()
     settledAt_ = nowDram_;
 }
 
-bool
+DramChannel::Slot
 DramChannel::sampleBanks()
 {
-    if (!queue_.empty() || !inflight_.empty())
+    if (queued_ > 0 || !inflight_.empty())
         stats_->counter(slots_.pending).inc();
 
     // One pass over the banks: the bank-level parallelism sample (banks
-    // with work in flight) and each bank's issue flags. A bank can take
-    // a row hit when it is ready and both column windows (tCCDS, its
-    // group's tCCDL) are open, and a row miss when additionally the
-    // activate window (tRRD) is open: exactly earliestIssue() <= now,
-    // split by row-buffer outcome. The scheduler runs only when some
-    // ready bank holds a request of a kind it can take.
+    // with work in flight) and the FR-FCFS pick. A bank's list is in
+    // arrival order, so its first row hit (miss) is its oldest; the walk
+    // stops once it has what it may still offer, and skips a kind when
+    // the bank's oldest request is younger than the pick of that kind
+    // so far. A perfect channel drains its queue instead.
     const bool column_open = !modernTimings_ || nextColumnAt_ <= nowDram_;
     const bool activate_open =
         !modernTimings_ || nextActivateAt_ <= nowDram_;
-    const std::uint8_t ready_flags =
-        activate_open ? kCanHit | kCanMiss : kCanHit;
     unsigned busy_banks = 0;
-    bool any_ready = false;
-    for (std::size_t b = 0; b < banks_.size(); ++b) {
-        const Bank &bank = banks_[b];
-        std::uint8_t flags = 0;
+    Slot hit = kNil;
+    Slot miss = kNil;
+    auto older = [&](Slot pick, std::uint64_t seq) {
+        return pick == kNil || seq < pool_[pick].seq;
+    };
+    for (const Bank &bank : banks_) {
         if (bank.readyAt > nowDram_) {
             ++busy_banks;
-        } else if (column_open
-                   && (groupNextColumnAt_.empty()
-                       || groupNextColumnAt_[bank.group] <= nowDram_)) {
-            flags = ready_flags;
-            any_ready = any_ready || bankQueuedHits_[b] > 0
-                        || (activate_open
-                            && bankQueued_[b] > bankQueuedHits_[b]);
+            continue;
         }
-        issue_[b] = flags;
+        if (perfect_ || bank.queued == 0 || !column_open
+            || (!groupNextColumnAt_.empty()
+                && groupNextColumnAt_[bank.group] > nowDram_))
+            continue;
+        const std::uint64_t head_seq = pool_[bank.queue.head].seq;
+        bool want_hit = bank.queuedHits > 0 && older(hit, head_seq);
+        bool want_miss = activate_open && hit == kNil
+                         && bank.queued > bank.queuedHits
+                         && older(miss, head_seq);
+        for (Slot s = bank.queue.head; s != kNil && (want_hit || want_miss);
+             s = pool_[s].bankNext) {
+            const Queued &q = pool_[s];
+            if (q.row == bank.openRow) {
+                if (want_hit && older(hit, q.seq))
+                    hit = s;
+                want_hit = false;
+            } else if (want_miss) {
+                if (older(miss, q.seq))
+                    miss = s;
+                want_miss = false;
+            }
+        }
     }
     if (busy_banks > 0) {
         stats_->counter(slots_.blpSamples).inc();
@@ -215,7 +265,7 @@ DramChannel::sampleBanks()
     }
     if (busFreeAt_ > nowDram_)
         stats_->counter(slots_.busBusy).inc();
-    return any_ready;
+    return hit != kNil ? hit : miss;
 }
 
 void
@@ -241,56 +291,36 @@ DramChannel::cycle(Cycle now)
         }
     }
 
-    const bool any_ready = sampleBanks();
+    const Slot pick = sampleBanks();
     if (perfect_) {
-        // Zero-latency DRAM: service everything immediately.
-        while (!queue_.empty()) {
-            if (!queue_.front().req.write)
-                completed_.push_back(queue_.front().req);
+        // Zero-latency DRAM: service everything immediately, in arrival
+        // order.
+        for (Slot s = queue_.head; s != kNil; s = pool_[s].next) {
+            if (!pool_[s].req.write)
+                completed_.push_back(pool_[s].req);
             stats_->counter(slots_.requests).inc();
-            queue_.pop_front();
         }
-        rebuildBankCounts();
-    } else if (any_ready) {
-        // Otherwise no bank can take a request it holds: nothing issues.
-        issue(now);
+        clearQueue();
+    } else if (pick != kNil) {
+        issue(pick, now);
     }
     nextEvent_ = earliestEvent();
 }
 
 void
-DramChannel::issue(Cycle now)
+DramChannel::issue(Slot s, Cycle now)
 {
-    // FR-FCFS in one pass: the oldest ready row hit, else the oldest
-    // ready request — the first ready request seen, since a ready hit
-    // ahead of it would have ended the scan.
-    auto pick = queue_.end();
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        const bool row_hit = banks_[it->bank].openRow == it->row;
-        if ((issue_[it->bank] & (row_hit ? kCanHit : kCanMiss)) == 0)
-            continue;
-        if (row_hit) {
-            pick = it;
-            break;
-        }
-        if (pick == queue_.end())
-            pick = it;
-    }
-    if (pick == queue_.end())
-        return;
-
-    const Queued q = *pick;
-    queue_.erase(pick);
+    const Queued q = pool_[s];
     Bank &bank = banks_[q.bank];
     bool hit = bank.openRow == q.row;
-    --bankQueued_[q.bank];
+    unlink(s);
     unsigned access_latency = config_.tCas;
     if (!hit) {
         access_latency += bank.openRow == ~Addr(0)
                               ? config_.tRcd
                               : config_.tRp + config_.tRcd;
         bank.openRow = q.row;
-        recountHits(q.bank);
+        recountHits(bank);
         stats_->counter(slots_.rowMisses).inc();
         if (config_.tRrd > 0)
             nextActivateAt_ = nowDram_ + config_.tRrd;
@@ -299,7 +329,6 @@ DramChannel::issue(Cycle now)
                                    + ".bank" + std::to_string(q.bank),
                                "row_activate", now);
     } else {
-        --bankQueuedHits_[q.bank];
         stats_->counter(slots_.rowHits).inc();
     }
     stats_->counter(slots_.requests).inc();
@@ -323,8 +352,8 @@ DramChannel::issue(Cycle now)
 bool
 DramChannel::hasRequest(Addr sector, bool write) const
 {
-    for (const Queued &q : queue_)
-        if (q.req.addr == sector && q.req.write == write)
+    for (Slot s = queue_.head; s != kNil; s = pool_[s].next)
+        if (pool_[s].req.addr == sector && pool_[s].req.write == write)
             return true;
     for (const Inflight &f : inflight_)
         if (f.req.addr == sector && f.req.write == write)
@@ -350,10 +379,9 @@ void
 DramChannel::checkInvariants(check::Reporter &rep,
                              const std::string &path) const
 {
-    if (queue_.size() > config_.queueSize)
+    if (queued_ > config_.queueSize)
         rep.report(path + ".queue",
-                   std::to_string(queue_.size())
-                       + " queued requests, limit "
+                   std::to_string(queued_) + " queued requests, limit "
                        + std::to_string(config_.queueSize));
     // Without refresh every readyAt stamp comes from a data transfer, so
     // no bank can be busy past the bus; a refresh hold (tRFC) is the one
@@ -371,34 +399,65 @@ DramChannel::checkInvariants(check::Reporter &rep,
                        "transfer done at " + std::to_string(f.doneAt)
                            + " still in flight at DRAM cycle "
                            + std::to_string(nowDram_));
-    // The per-bank counts earliestEvent() and sampleBanks() read must
-    // match a recount of the queue.
+    // Both lists must be linked both ways in arrival order, the queue
+    // list as long as the count says, and each bank list must hold
+    // exactly the queue's requests to that bank, matching the per-bank
+    // counts earliestEvent() and sampleBanks() read.
+    auto linked = [&](Slot s, Slot prev, Slot back_link) {
+        return back_link == prev
+               && (prev == kNil || pool_[prev].seq < pool_[s].seq);
+    };
     std::vector<unsigned> queued(banks_.size(), 0);
     std::vector<unsigned> hits(banks_.size(), 0);
-    for (const Queued &q : queue_) {
+    unsigned total = 0;
+    bool ordered = true;
+    for (Slot s = queue_.head, prev = kNil;
+         s != kNil && total <= pool_.size(); prev = s, s = pool_[s].next) {
+        const Queued &q = pool_[s];
+        ordered = ordered && linked(s, prev, q.prev);
+        ++total;
         ++queued[q.bank];
         hits[q.bank] += q.row == banks_[q.bank].openRow;
     }
-    for (unsigned b = 0; b < banks_.size(); ++b)
-        if (bankQueued_[b] != queued[b] || bankQueuedHits_[b] != hits[b])
+    if (total != queued_ || !ordered)
+        rep.report(path + ".queue",
+                   "the arrival-order list holds " + std::to_string(total)
+                       + " requests" + (ordered ? "" : " out of order")
+                       + ", the count is " + std::to_string(queued_));
+    for (unsigned b = 0; b < banks_.size(); ++b) {
+        const Bank &bank = banks_[b];
+        unsigned listed = 0;
+        bool bank_ordered = true;
+        for (Slot s = bank.queue.head, prev = kNil;
+             s != kNil && listed <= pool_.size();
+             prev = s, s = pool_[s].bankNext) {
+            bank_ordered = bank_ordered && pool_[s].bank == b
+                           && linked(s, prev, pool_[s].bankPrev);
+            ++listed;
+        }
+        if (!bank_ordered || bank.queued != queued[b]
+            || bank.queuedHits != hits[b] || listed != queued[b])
             rep.report(path + ".bank" + std::to_string(b),
-                       "counts " + std::to_string(bankQueued_[b])
-                           + " queued / " + std::to_string(bankQueuedHits_[b])
-                           + " row hits, the queue holds "
-                           + std::to_string(queued[b]) + " / "
-                           + std::to_string(hits[b]));
+                       "counts " + std::to_string(bank.queued)
+                           + " queued / " + std::to_string(bank.queuedHits)
+                           + " row hits, the bank list holds "
+                           + std::to_string(listed)
+                           + (bank_ordered ? "" : " out of order")
+                           + ", the queue " + std::to_string(queued[b])
+                           + " / " + std::to_string(hits[b]));
+    }
     // The cached event must be what a fresh scan of every queued request
     // finds, or the lazy tick would skip (or needlessly run) a real one.
     std::uint64_t scan = nextRefreshAt_ != 0 ? nextRefreshAt_
                                              : kNoPendingEvent;
     if (perfect_) {
-        if (!queue_.empty())
+        if (queued_ > 0)
             scan = 0;
     } else {
         for (const Inflight &f : inflight_)
             scan = std::min(scan, f.doneAt);
-        for (const Queued &q : queue_)
-            scan = std::min(scan, earliestIssue(q));
+        for (Slot s = queue_.head; s != kNil; s = pool_[s].next)
+            scan = std::min(scan, earliestIssue(pool_[s]));
     }
     if (nextEvent_ != scan)
         rep.report(path + ".next_event",
@@ -411,8 +470,8 @@ std::uint64_t
 DramChannel::stateDigest() const
 {
     check::Digest d;
-    for (const Queued &q : queue_)
-        mixRequest(d, q.req);
+    for (Slot s = queue_.head; s != kNil; s = pool_[s].next)
+        mixRequest(d, pool_[s].req);
     for (const Bank &b : banks_) {
         d.mix(b.openRow);
         d.mix(b.readyAt);
@@ -472,9 +531,9 @@ getRequest(serial::Reader &r)
 void
 DramChannel::saveState(serial::Writer &w) const
 {
-    w.u64(queue_.size());
-    for (const Queued &q : queue_)
-        putRequest(w, q.req);
+    w.u64(queued_);
+    for (Slot s = queue_.head; s != kNil; s = pool_[s].next)
+        putRequest(w, pool_[s].req);
     w.u64(banks_.size());
     for (const Bank &b : banks_) {
         w.u64(b.openRow);
@@ -504,13 +563,13 @@ DramChannel::loadState(serial::Reader &r)
     auto reject = [](const std::string &why) {
         throw SimError("DRAM channel snapshot: " + why);
     };
-    queue_.clear();
+    clearQueue();
     std::uint64_t num_queued = r.u64();
     if (num_queued > config_.queueSize)
         reject(std::to_string(num_queued) + " queued requests, the queue "
                "holds " + std::to_string(config_.queueSize));
     for (std::uint64_t i = 0; i < num_queued; ++i)
-        queue_.push_back(decode(getRequest(r)));
+        push(getRequest(r));
     std::uint64_t num_banks = r.u64();
     if (num_banks != banks_.size())
         reject(std::to_string(num_banks) + " banks, the channel has "
@@ -544,7 +603,9 @@ DramChannel::loadState(serial::Reader &r)
     nextRefreshAt_ = r.u64();
     // The snapshot's statistics were settled when it was written.
     settledAt_ = nowDram_;
-    rebuildBankCounts();
+    // push() counted row hits against the banks' previous open rows.
+    for (Bank &b : banks_)
+        recountHits(b);
     nextEvent_ = earliestEvent();
 }
 
@@ -585,7 +646,21 @@ MemFabric::inject(const MemRequest &req, Cycle now)
 void
 MemFabric::respond(const MemRequest &req, Cycle now)
 {
+    trimResponses(req.smId);
     responses_[req.smId].emplace_back(now + config_.icntLatency, req);
+}
+
+void
+MemFabric::trimResponses(unsigned sm)
+{
+    if (!lastCycle_)
+        return;
+    auto &q = responses_[sm];
+    std::size_t &cur = respCursor_[sm];
+    while (cur > 0 && q.front().first <= *lastCycle_) {
+        q.pop_front();
+        --cur;
+    }
 }
 
 void
@@ -651,18 +726,7 @@ MemFabric::setTimeline(TimelineShard *shard)
 void
 MemFabric::cycle(Cycle now)
 {
-    // Trim drained responses the clock has passed: no digest of cycle
-    // `now` or later can need an entry that became deliverable at or
-    // before `now` (the lock-step queue would have popped it by now).
-    for (unsigned sm = 0; sm < responses_.size(); ++sm) {
-        auto &q = responses_[sm];
-        std::size_t &cur = respCursor_[sm];
-        while (cur > 0 && q.front().first <= now) {
-            q.pop_front();
-            --cur;
-        }
-    }
-
+    lastCycle_ = now;
     for (Partition &p : partitions_)
         partitionCycle(p, now);
 
@@ -883,6 +947,7 @@ MemFabric::saveState(serial::Writer &w)
     // digest of a replayed cycle must still see them after restore.
     w.u64(responses_.size());
     for (unsigned sm = 0; sm < responses_.size(); ++sm) {
+        trimResponses(sm);
         const auto &q = responses_[sm];
         w.u64(q.size());
         for (const auto &[ready, req] : q) {
@@ -951,6 +1016,7 @@ MemFabric::loadState(serial::Reader &r)
     }
     dramClock_.restoreAccumBits(r.u64());
     dramStats_.loadState(r);
+    lastCycle_.reset();
 }
 
 StatGroup &

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/cache.h"
@@ -107,7 +108,7 @@ class DramChannel : public ClockedUnit
     bool
     canAccept() const
     {
-        return queue_.size() < config_.queueSize;
+        return queued_ < config_.queueSize;
     }
 
     void enqueue(const MemRequest &req);
@@ -186,7 +187,7 @@ class DramChannel : public ClockedUnit
     bool
     idle() const override
     {
-        return queue_.empty() && inflight_.empty();
+        return queued_ == 0 && inflight_.empty();
     }
 
     /**
@@ -217,19 +218,47 @@ class DramChannel : public ClockedUnit
     void loadState(serial::Reader &r);
 
   private:
+    /** A request pool slot; kNil ends a list. */
+    using Slot = std::uint32_t;
+    static constexpr Slot kNil = ~Slot(0);
+
+    /** Head and tail of one arrival-order list of pool slots. */
+    struct List
+    {
+        Slot head = kNil;
+        Slot tail = kNil;
+    };
+
     struct Bank
     {
         Addr openRow = ~Addr(0);
         std::uint64_t readyAt = 0;
         unsigned group = 0; ///< bank group (fixed by the geometry)
+        /** Derived, never serialized: this bank's queued requests in
+         *  arrival order, how many there are and how many of them hit
+         *  the open row. */
+        List queue;
+        unsigned queued = 0;
+        unsigned queuedHits = 0;
     };
 
-    /** A queued request with its bank and row decoded once, on entry. */
+    /**
+     * A queued request in its pool slot, with its bank and row decoded
+     * once, on entry. It sits on two lists, both in arrival order: the
+     * whole queue (prev/next) and its bank's (bankPrev/bankNext). `seq`
+     * orders requests of different banks; like the links it is derived
+     * (loadState() renumbers from the snapshot's queue order).
+     */
     struct Queued
     {
         MemRequest req;
-        unsigned bank;
-        Addr row;
+        unsigned bank = 0;
+        Addr row = 0;
+        std::uint64_t seq = 0;
+        Slot prev = kNil;
+        Slot next = kNil;
+        Slot bankPrev = kNil;
+        Slot bankNext = kNil;
     };
 
     struct Inflight
@@ -238,14 +267,6 @@ class DramChannel : public ClockedUnit
         std::uint64_t doneAt;
     };
 
-    /** Per-bank scheduler flags, valid for the current tick. */
-    enum IssueFlag : std::uint8_t
-    {
-        kCanHit = 1,  ///< a row hit on this bank may issue now
-        kCanMiss = 2  ///< a row miss (activate) on this bank may issue now
-    };
-
-    Queued decode(const MemRequest &req) const;
     /** Earliest tick a row hit (or miss) could issue to `bank`, given
      *  current bank, CCD, RRD and row state (exact while the channel
      *  state is frozen). */
@@ -260,34 +281,44 @@ class DramChannel : public ClockedUnit
      *  nextEvent_ caches; kNoPendingEvent when there is none), from the
      *  per-bank queue counts. */
     std::uint64_t earliestEvent() const;
-    /** Recount the queued row hits of `bank` (its open row changed). */
-    void recountHits(unsigned bank);
-    /** Rebuild both per-bank counts of every bank from the queue. */
-    void rebuildBankCounts();
+    /** Append `req` to the queue (a free slot, both list tails). */
+    Slot push(const MemRequest &req);
+    /** Remove slot `s` from both lists and free it, O(1). */
+    void unlink(Slot s);
+    /** Empty the queue: every slot free, every list and count zero. */
+    void clearQueue();
+    /** Recount the queued row hits of `bank` (its open row changed),
+     *  O(requests queued to it). */
+    void recountHits(Bank &bank);
     void processRefresh();
-    /** FR-FCFS: issue the oldest ready row hit, else the oldest ready
-     *  request, to its bank (cycle()'s scheduler step). */
-    void issue(Cycle now);
+    /** Issue the request in slot `s` to its bank (cycle()'s scheduler
+     *  step, for the pick sampleBanks() made). */
+    void issue(Slot s, Cycle now);
     /**
      * The per-tick bank pass of cycle(): counts the pending /
-     * bank-parallelism / data-bus samples and sets issue_. Returns true
-     * when some bank can take a column command for a request it holds.
+     * bank-parallelism / data-bus samples and makes the FR-FCFS pick.
+     * A bank can take a row hit when it is ready and both column
+     * windows (tCCDS, its group's tCCDL) are open, and a row miss when
+     * additionally the activate window (tRRD) is open. Each such bank
+     * offers its oldest row hit and oldest row miss; the pick is the
+     * oldest hit offered, else the oldest miss (kNil: nothing issues).
      */
-    bool sampleBanks();
+    Slot sampleBanks();
 
     DramConfig config_;
     bool perfect_;
     /** Any bank-group / activate / refresh constraint enabled. */
     bool modernTimings_;
     StatGroup *stats_;
-    std::deque<Queued> queue_;
+    /** The request queue: queueSize slots, the free ones chained
+     *  through `next` from free_, the queued ones on queue_ (arrival
+     *  order) and on their bank's list. */
+    std::vector<Queued> pool_;
+    List queue_;
+    Slot free_ = kNil;
+    unsigned queued_ = 0;
+    std::uint64_t nextSeq_ = 0;
     std::vector<Bank> banks_;
-    std::vector<std::uint8_t> issue_; ///< IssueFlag bits per bank
-    /** Derived, never serialized: per bank, the queued requests and how
-     *  many of them hit its open row. Kept by enqueue() and issue();
-     *  rebuilt after a refresh, a perfect-mode drain and loadState(). */
-    std::vector<unsigned> bankQueued_;
-    std::vector<unsigned> bankQueuedHits_;
     std::vector<Inflight> inflight_;
     std::vector<MemRequest> completed_;
     std::uint64_t nowDram_ = 0;
@@ -350,11 +381,13 @@ class MemFabric : public ClockedUnit
     /**
      * Responses ready for SM `sm` at `now`. Drained entries are only
      * *marked* consumed (per-SM cursor) and linger in the queue until
-     * the fabric clock passes their ready cycle: under epoch stepping
-     * an SM drains ahead of the fabric replay, and the state digest of
-     * an earlier replay cycle must still see what the lock-step queue
-     * held then. The cursor makes this safe to call from SM workers —
-     * each touches only its own queue.
+     * the fabric clock has passed their ready cycle: under epoch
+     * stepping an SM drains ahead of the fabric replay, and the state
+     * digest of an earlier replay cycle must still see what the
+     * lock-step queue held then. They are trimmed lazily, when
+     * respond() appends to the queue and in saveState(). The cursor
+     * makes this safe to call from SM workers — each touches only its
+     * own queue.
      */
     std::vector<MemRequest> drainResponses(unsigned sm, Cycle now);
 
@@ -419,11 +452,13 @@ class MemFabric : public ClockedUnit
     /**
      * Serialize / restore the full fabric: every partition's L2 slice,
      * DRAM channel, inbound queue and pending-miss table (written sorted
-     * by cookie), the per-SM response queues *including* drained-but-
-     * untrimmed entries plus their cursors, the core→DRAM clock-crossing
-     * accumulator (exact FP bits), and the shared DRAM statistics
-     * (every channel settled first, so the restored channels start
-     * with nothing pending).
+     * by cookie), the per-SM response queues plus their cursors (each
+     * trimmed through the last real cycle first, so it holds exactly
+     * the drained entries a queue trimmed every cycle keeps — those a
+     * later replayed cycle's digest may still need), the core→DRAM
+     * clock-crossing accumulator (exact FP bits), and the shared DRAM
+     * statistics (every channel settled first, so the restored channels
+     * start with nothing pending).
      */
     void saveState(serial::Writer &w);
     void loadState(serial::Reader &r);
@@ -444,6 +479,14 @@ class MemFabric : public ClockedUnit
     void settleChannels();
     void partitionCycle(Partition &p, Cycle now);
     void respond(const MemRequest &req, Cycle now);
+    /**
+     * Drop SM `sm`'s drained responses that were deliverable at the last
+     * real cycle(now) (ready <= now): no digest of that cycle or a later
+     * one needs them, the lock-step queue would have popped them. A
+     * quiescentCycle() never moves the threshold, so a snapshot holds
+     * what a queue trimmed at the top of every real cycle holds.
+     */
+    void trimResponses(unsigned sm);
 
     FabricConfig config_;
     std::vector<Partition> partitions_;
@@ -453,6 +496,9 @@ class MemFabric : public ClockedUnit
     /// at the front of the matching responses_ deque; see
     /// drainResponses().
     std::vector<std::size_t> respCursor_;
+    /// The last real cycle(now), trimResponses()'s threshold; none
+    /// since construction or loadState().
+    std::optional<Cycle> lastCycle_;
     /// Core→DRAM clock crossing (was a bare fractional accumulator).
     ClockDomain dramClock_;
     /// Reused by cycle(): the L2 MSHR targets one DRAM completion fills.

@@ -44,6 +44,10 @@ accumulateFrame(RunResult &total, const RunResult &r)
     total.metrics.merge(r.metrics);
     total.writeRunGauges();
     total.hostSeconds += r.hostSeconds;
+    total.smCyclesSkipped += r.smCyclesSkipped;
+    total.sweepUnitChecks += r.sweepUnitChecks;
+    total.sweepUnitSkips += r.sweepUnitSkips;
+    total.uopDecodes += r.uopDecodes;
     total.threadsUsed = r.threadsUsed;
     total.epochCyclesUsed = r.epochCyclesUsed;
 }

@@ -2,9 +2,10 @@
  * @file
  * Tests for the memory fabric: request routing, L2 behaviour, DRAM
  * row-buffer locality, FR-FCFS preference, bandwidth accounting, the
- * perfect-memory variant, the decoded FR-FCFS scan against a two-pass
- * reference scheduler, and the snapshot decoder's rejection of
- * malformed bytes.
+ * perfect-memory variant, the per-bank FR-FCFS pick against a two-pass
+ * reference scheduler, lazy response-queue trimming against a
+ * per-cycle trim, and the snapshot decoder's rejection of malformed
+ * bytes.
  */
 
 #include <gtest/gtest.h>
@@ -1136,6 +1137,390 @@ TEST(DramSchedulerTest, LazyTickMatchesAlwaysTickOracle)
         SCOPED_TRACE("perfectMem with frequent refresh");
         expectLazyMatchesAlwaysTick(tight, true, 15, 30000);
     }
+}
+
+// --- The per-bank request index -------------------------------------------
+
+/** Tags of the requests `ch` holds queued, in queue (arrival) order. */
+std::vector<std::uint64_t>
+queuedTags(const DramChannel &ch)
+{
+    serial::Writer w;
+    ch.saveState(w);
+    serial::Reader r(w.buffer());
+    std::vector<std::uint64_t> tags(r.u64());
+    for (std::uint64_t &tag : tags) {
+        r.u64(); // addr
+        r.b();   // write
+        r.u8();  // origin
+        r.u32(); // smId
+        tag = r.u64();
+    }
+    return tags;
+}
+
+MemRequest
+tagged(Addr addr, std::uint64_t tag, bool write = false)
+{
+    MemRequest r;
+    r.addr = addr;
+    r.tag = tag;
+    r.write = write;
+    return r;
+}
+
+TEST(DramSchedulerTest, OldestReadyHitBehindOlderMisses)
+{
+    // modernDram() with every window off: 4 banks, row = addr / 8 KiB,
+    // bank = (addr / 2 KiB) % 4. Rows 0 of banks 0 and 1 are opened
+    // first; then two misses arrive ahead of two hits, one miss in each
+    // hit's own bank. FR-FCFS takes the oldest ready hit (tag 3, bank
+    // 0), though a miss of its bank and one of another are older, then
+    // the younger hit of the other bank (tag 4); the misses wait.
+    const DramConfig cfg = modernDram();
+    StatGroup stats("dram"), ref_stats("dram");
+    DramChannel ch(cfg, false, &stats);
+    TwoPassChannel ref(cfg, &ref_stats);
+    Cycle now = 0;
+    for (Addr a : {Addr(0x0), Addr(0x800)}) {
+        ch.enqueue(tagged(a, 0));
+        ref.enqueue(tagged(a, 0));
+    }
+    for (; now < 40; ++now) {
+        ch.cycle(now);
+        ref.cycle();
+        ch.clearCompleted();
+        ref.clearCompleted();
+    }
+    ASSERT_TRUE(ch.idle());
+
+    const std::vector<MemRequest> arrivals = {
+        tagged(0x2800, 1), // bank 1, row 1: miss
+        tagged(0x2000, 2), // bank 0, row 1: miss
+        tagged(0x0040, 3), // bank 0, row 0: hit
+        tagged(0x0840, 4), // bank 1, row 0: hit
+    };
+    for (const MemRequest &r : arrivals) {
+        ch.enqueue(r);
+        ref.enqueue(r);
+    }
+    std::vector<std::vector<std::uint64_t>> issued_after;
+    std::uint64_t seen = stats.get("requests");
+    for (unsigned t = 0; t < 200 && !ch.idle(); ++t) {
+        ch.cycle(now++);
+        ref.cycle();
+        ASSERT_EQ(snapshotOf(ch), snapshotOf(ref)) << "tick " << t;
+        if (stats.get("requests") > seen) {
+            seen = stats.get("requests");
+            issued_after.push_back(queuedTags(ch));
+        }
+        ch.clearCompleted();
+        ref.clearCompleted();
+    }
+    ASSERT_EQ(issued_after.size(), 4u);
+    EXPECT_EQ(issued_after[0], (std::vector<std::uint64_t>{1, 2, 4}));
+    EXPECT_EQ(issued_after[1], (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_EQ(stats.get("row_hits"), 2u);
+    EXPECT_EQ(stats.get("row_misses"), 4u);
+}
+
+TEST(DramSchedulerTest, ClosedActivateWindowIssuesOnlyHits)
+{
+    // tRRD = 40: the warm-up activate of bank 0 closes the activate
+    // window long past its transfer. Two misses (to a free bank and to
+    // bank 0's other row) and a younger hit then arrive: the hit issues
+    // at once; the misses wait for the window, and the older one goes
+    // first on the tick it opens.
+    DramConfig cfg = modernDram();
+    cfg.tRrd = 40;
+    StatGroup stats("dram");
+    DramChannel ch(cfg, false, &stats);
+    Cycle now = 0;
+    ch.enqueue(tagged(0x0, 0));
+    std::vector<std::uint64_t> warm = issueTicks(ch, stats, 1);
+    ASSERT_EQ(warm.size(), 1u);
+    const std::uint64_t window_opens = warm[0] + cfg.tRrd;
+    now = ch.dramNow();
+    while (!ch.idle())
+        ch.cycle(now++);
+    ASSERT_LT(ch.dramNow() + 1, window_opens);
+
+    ch.enqueue(tagged(0x0800, 1)); // bank 1, free: miss
+    ch.enqueue(tagged(0x2000, 2)); // bank 0, row 1: miss
+    ch.enqueue(tagged(0x0040, 3)); // bank 0, row 0: hit
+    ch.cycle(now++);
+    EXPECT_EQ(stats.get("row_hits"), 1u);
+    EXPECT_EQ(queuedTags(ch), (std::vector<std::uint64_t>{1, 2}));
+    while (ch.dramNow() + 1 < window_opens) {
+        ch.cycle(now++);
+        ASSERT_EQ(stats.get("requests"), 2u) << "tick " << ch.dramNow();
+    }
+    ch.cycle(now++);
+    EXPECT_EQ(ch.dramNow(), window_opens);
+    EXPECT_EQ(stats.get("requests"), 3u);
+    EXPECT_EQ(queuedTags(ch), (std::vector<std::uint64_t>{2}));
+}
+
+TEST(DramSchedulerTest, PerfectDrainCompletesInArrivalOrder)
+{
+    // A perfect channel services its whole queue on one tick; the reads
+    // must complete in arrival order whatever their banks, also when the
+    // queue was restored from a snapshot.
+    const DramConfig cfg = modernDram();
+    StatGroup stats("dram"), stats2("dram");
+    DramChannel ch(cfg, true, &stats);
+    std::vector<std::uint64_t> reads;
+    for (std::uint64_t tag = 1; tag <= cfg.queueSize; ++tag) {
+        const Addr addr = ((tag * 7) % 5) * 0x800 + (tag % 3) * 0x2000;
+        const bool write = tag % 4 == 0;
+        ch.enqueue(tagged(addr, tag, write));
+        if (!write)
+            reads.push_back(tag);
+    }
+    EXPECT_FALSE(ch.canAccept());
+    serial::Writer w;
+    ch.saveState(w);
+    DramChannel restored(cfg, true, &stats2);
+    serial::Reader r(w.buffer());
+    restored.loadState(r);
+
+    ch.cycle(0);
+    restored.cycle(0);
+    EXPECT_EQ(tagsOf(ch.completed()), reads);
+    EXPECT_EQ(tagsOf(restored.completed()), reads);
+    EXPECT_EQ(stats.get("requests"), cfg.queueSize);
+    EXPECT_TRUE(ch.canAccept());
+    EXPECT_TRUE(queuedTags(ch).empty());
+}
+
+TEST(DramSchedulerTest, RestoredModernChannelContinuesByteForByte)
+{
+    // Under the Modern timings (bank groups, tCCDL/S, tRRD, refresh) a
+    // channel saved mid-run, with requests issued out of the middle of
+    // its queue, and restored into a fresh channel must continue exactly
+    // as the uninterrupted one: same retirements and snapshot bytes on
+    // every later tick, and the same counters at the end. The restored
+    // channel renumbers its queue's arrival order from zero.
+    const DramConfig cfg =
+        applyMemoryVariant(baselineGpuConfig(), MemoryVariant::Modern)
+            .fabric.dram;
+    StatGroup stats("dram");
+    DramChannel ch(cfg, false, &stats);
+    std::unique_ptr<StatGroup> restored_stats;
+    std::unique_ptr<DramChannel> restored;
+    Pcg32 rng(21);
+    Addr stream = 0;
+    std::uint64_t next_tag = 1;
+    const unsigned ticks = 12000;
+    for (unsigned t = 0; t < ticks; ++t) {
+        const unsigned arrivals = rng.nextBelow(100) < 45 ? 1 : 0;
+        for (unsigned i = 0; i < arrivals && ch.canAccept(); ++i) {
+            stream = rng.nextBelow(2) == 0
+                         ? stream + kSectorBytes
+                         : Addr(rng.nextBelow(1u << 16)) * kSectorBytes;
+            const MemRequest r = tagged(stream, next_tag++,
+                                        rng.nextBelow(4) == 0);
+            ch.enqueue(r);
+            if (restored)
+                restored->enqueue(r);
+        }
+        ch.tick(t);
+        if (restored) {
+            restored->tick(t);
+            ASSERT_EQ(tagsOf(restored->completed()), tagsOf(ch.completed()))
+                << "tick " << t;
+            ASSERT_EQ(snapshotOf(*restored), snapshotOf(ch)) << "tick " << t;
+            restored->clearCompleted();
+        }
+        ch.clearCompleted();
+        if (t == ticks / 3) {
+            ASSERT_GT(queuedTags(ch).size(), 1u);
+            ASSERT_GT(stats.get("refreshes"), 0u);
+            ch.settle();
+            serial::Writer w;
+            ch.saveState(w);
+            stats.saveState(w);
+            restored_stats = std::make_unique<StatGroup>("dram");
+            restored = std::make_unique<DramChannel>(cfg, false,
+                                                     restored_stats.get());
+            serial::Reader r(w.buffer());
+            restored->loadState(r);
+            restored_stats->loadState(r);
+            ASSERT_EQ(r.remaining(), 0u);
+        }
+    }
+    ch.settle();
+    restored->settle();
+    EXPECT_EQ(restored_stats->dump(), stats.dump());
+    EXPECT_GT(stats.get("row_hits"), ticks / 50);
+    EXPECT_GT(stats.get("row_misses"), ticks / 50);
+    check::Reporter rep(/*collect=*/true);
+    restored->checkInvariants(rep, "dram");
+    EXPECT_TRUE(rep.ok());
+}
+
+// --- Response-queue trimming ----------------------------------------------
+
+/** Bytes of one response entry (ready cycle + request) in a snapshot. */
+constexpr std::size_t kResponseBytes = 8 + 8 + 1 + 1 + 4 + 8;
+
+/** A MemFabric snapshot cut around SM 0's response queue. */
+struct ResponseCut
+{
+    std::vector<std::uint8_t> before; ///< everything ahead of SM 0's queue
+    std::vector<Cycle> ready;         ///< SM 0's entries' ready cycles
+    std::vector<std::uint8_t> entries; ///< SM 0's entries, raw
+    std::uint64_t cursor = 0;
+    std::vector<std::uint8_t> after; ///< everything behind SM 0's cursor
+};
+
+ResponseCut
+cutResponses(const FabricConfig &fc, const std::vector<std::uint8_t> &bytes)
+{
+    serial::Reader r(bytes);
+    const std::uint64_t parts = r.u64();
+    for (std::uint64_t p = 0; p < parts; ++p) {
+        CacheConfig slice = fc.l2;
+        slice.name = "l2." + std::to_string(p);
+        Cache(slice).loadState(r);
+        StatGroup stats;
+        DramChannel(fc.dram, fc.perfectMem, &stats).loadState(r);
+        for (int table = 0; table < 2; ++table) { // inbound, pendingMiss
+            std::vector<std::uint8_t> skip(r.u64() * kResponseBytes);
+            r.bytes(skip.data(), skip.size());
+        }
+        r.u64(); // next cookie
+    }
+    r.u64(); // SM count
+    ResponseCut cut;
+    auto pos = [&] { return bytes.size() - r.remaining(); };
+    cut.before.assign(bytes.begin(), bytes.begin() + pos());
+    const std::uint64_t n = r.u64();
+    const std::size_t first = pos();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        cut.ready.push_back(r.u64());
+        std::vector<std::uint8_t> req(kResponseBytes - 8);
+        r.bytes(req.data(), req.size());
+    }
+    cut.entries.assign(bytes.begin() + first, bytes.begin() + pos());
+    cut.cursor = r.u64();
+    cut.after.assign(bytes.begin() + pos(), bytes.end());
+    return cut;
+}
+
+std::vector<std::uint8_t>
+snapshotOf(MemFabric &fabric)
+{
+    serial::Writer w;
+    fabric.saveState(w);
+    return w.take();
+}
+
+TEST(FabricTest, LazyResponseTrimMatchesPerCycleTrim)
+{
+    // The fabric trims an SM's drained responses when it appends to that
+    // SM's queue and when it is saved, by the last real cycle. Its
+    // snapshots must equal those of a fabric that trims every queue at
+    // the top of every real cycle — the reference here, built from an
+    // identical fabric whose SMs never drain (so its queues keep every
+    // response ever sent): SM 0's queue, drained D responses by the
+    // last real cycle T, then holds that history minus its first
+    // min(D, #(ready <= T)) entries, and everything else is the same.
+    //
+    // The driver follows the engine's epoch protocol: SM 0 runs (drains,
+    // injects) over a prefix of each span, then the span is replayed on
+    // the fabric, quiescentCycle() allowed only on cycles no SM ran and
+    // nothing was injected. SM 1 injects but never drains.
+    const FabricConfig fc = testFabric(2);
+    auto fab = std::make_unique<MemFabric>(fc, 2);
+    MemFabric history(fc, 2);
+    Pcg32 rng(5);
+    std::uint64_t drained = 0;       // by SM 0
+    std::uint64_t drained_at_t = 0;  // by SM 0, as of the last real cycle
+    Cycle last_real = 0;
+    bool any_real = false;
+    unsigned compared = 0, after_quiescent = 0, restores = 0;
+    std::uint64_t next_tag = 1;
+    Cycle now = 0;
+    while (now < 6000) {
+        const Cycle span_end = now + 1 + rng.nextBelow(8);
+        // Bursts of traffic alternate with long idle stretches.
+        const bool busy = (now / 700) % 2 == 0;
+        const Cycle ran_until =
+            busy ? now + rng.nextBelow(static_cast<std::uint32_t>(
+                             span_end - now + 1))
+                 : now;
+        std::vector<std::vector<MemRequest>> staged(span_end - now);
+        for (Cycle c = now; c < ran_until; ++c) {
+            drained += fab->drainResponses(0, c).size();
+            for (unsigned sm = 0; sm < 2; ++sm) {
+                if (rng.nextBelow(3) != 0)
+                    continue;
+                MemRequest r;
+                r.addr = Addr(rng.nextBelow(1u << 12)) * kSectorBytes;
+                r.write = rng.nextBelow(5) == 0;
+                r.smId = sm;
+                r.tag = next_tag++;
+                staged[c - now].push_back(r);
+            }
+        }
+        bool fast = false;
+        for (Cycle c = now; c < span_end; ++c) {
+            for (const MemRequest &r : staged[c - now]) {
+                fab->inject(r, c);
+                history.inject(r, c);
+            }
+            const bool may_skip = c >= ran_until && staged[c - now].empty();
+            fast = may_skip && fab->quiescentCycle(c);
+            ASSERT_EQ(may_skip && history.quiescentCycle(c), fast)
+                << "cycle " << c;
+            if (!fast) {
+                fab->cycle(c);
+                history.cycle(c);
+                drained_at_t = drained;
+                last_real = c;
+                any_real = true;
+            }
+            ASSERT_EQ(fab->stateDigest(c), history.stateDigest(c))
+                << "cycle " << c;
+        }
+        now = span_end;
+
+        if (rng.nextBelow(6) != 0)
+            continue;
+        const std::vector<std::uint8_t> got = snapshotOf(*fab);
+        const ResponseCut ref = cutResponses(fc, snapshotOf(history));
+        ASSERT_EQ(ref.cursor, 0u);
+        std::uint64_t passed = 0;
+        while (any_real && passed < ref.ready.size()
+               && ref.ready[passed] <= last_real)
+            ++passed;
+        const std::uint64_t trimmed = std::min(drained_at_t, passed);
+        serial::Writer want;
+        want.bytes(ref.before.data(), ref.before.size());
+        want.u64(ref.ready.size() - trimmed);
+        want.bytes(ref.entries.data() + trimmed * kResponseBytes,
+                   ref.entries.size() - trimmed * kResponseBytes);
+        want.u64(drained - trimmed);
+        want.bytes(ref.after.data(), ref.after.size());
+        ASSERT_EQ(got, want.buffer()) << "cycle " << now;
+        ++compared;
+        after_quiescent += fast;
+
+        if (rng.nextBelow(4) == 0) {
+            // A restored fabric must trim exactly as the saved one.
+            auto fresh = std::make_unique<MemFabric>(fc, 2);
+            serial::Reader r(got);
+            fresh->loadState(r);
+            ASSERT_EQ(r.remaining(), 0u);
+            fab = std::move(fresh);
+            ++restores;
+        }
+    }
+    EXPECT_GT(compared, 100u);
+    EXPECT_GT(after_quiescent, 10u);
+    EXPECT_GT(restores, 10u);
+    EXPECT_GT(drained, 200u);
 }
 
 // --- Snapshot decoding ------------------------------------------------------

@@ -474,5 +474,39 @@ TEST(RunMetricsTest, MultiFrameGaugesDescribeTheWholeRun)
               run.metrics.get("gpu.rt.warps_completed"));
 }
 
+TEST(RunMetricsTest, MultiFrameTelemetrySumsTheFrames)
+{
+    // The engine telemetry kept outside the registry (micro-op decodes,
+    // skipped SM-cycles, invariant-sweep counts) must describe a
+    // multi-frame job's whole run: the sum of the same frames run one
+    // at a time on one prepared workload.
+    wl::WorkloadParams params;
+    params.width = 8;
+    params.height = 8;
+    params.frames = 2;
+    GpuConfig config = runConfig();
+    config.checkLevel = check::CheckLevel::Basic;
+
+    wl::Workload whole(wl::WorkloadId::ACC, params);
+    const RunResult run = service::runPreparedWorkload(whole, config);
+
+    params.frames = 1;
+    wl::Workload stepped(wl::WorkloadId::ACC, params);
+    const RunResult first = service::runPreparedWorkload(stepped, config);
+    stepped.beginFrame(1);
+    const RunResult second = service::runPreparedWorkload(stepped, config);
+
+    ASSERT_EQ(run.cycles, first.cycles + second.cycles);
+    EXPECT_GT(second.uopDecodes, 0u);
+    EXPECT_GT(second.sweepUnitChecks, 0u);
+    EXPECT_EQ(run.uopDecodes, first.uopDecodes + second.uopDecodes);
+    EXPECT_EQ(run.smCyclesSkipped,
+              first.smCyclesSkipped + second.smCyclesSkipped);
+    EXPECT_EQ(run.sweepUnitChecks,
+              first.sweepUnitChecks + second.sweepUnitChecks);
+    EXPECT_EQ(run.sweepUnitSkips,
+              first.sweepUnitSkips + second.sweepUnitSkips);
+}
+
 } // namespace
 } // namespace vksim

@@ -12,6 +12,13 @@
  * a new workload automatically adds its rows to every CSV, including
  * the correlation fit.
  *
+ * speedup_vs_reference.csv is the only host-timed output: its
+ * sim_host_s, sim_cycles_per_s, ref_host_s and sim_slowdown_vs_ref
+ * columns are wall-clock measurements and change from run to run.
+ * Every other file is byte-identical across runs of the same build
+ * (`diff -r -x speedup_vs_reference.csv` of two output directories is
+ * clean; CI checks this).
+ *
  * Outputs (under --outdir, default "report"):
  *   stats_<scene>.json        complete MetricsRegistry dump per scene
  *   fig13_warp_latency.csv    RT warp-latency histogram (paper Fig. 13)
