@@ -77,9 +77,10 @@ addSimFlags(Cli &cli)
                "hardware)")
         .flag("serial", "run the serial engine (same as --threads=1)")
         .flag("no-idle-skip",
-              "keep quiescent SMs awake instead of sleeping them (SM "
-              "sleep only: DRAM channels still tick lazily; idle-skip "
-              "is behavior-neutral; this is the debugging / cross-check "
+              "cycle every SM every cycle instead of sleeping quiescent "
+              "SMs and jumping waiting ones to their next event (SMs "
+              "only: DRAM channels still tick lazily; idle-skip is "
+              "behavior-neutral; this is the debugging / cross-check "
               "escape hatch)")
         .option("epoch-cycles", "N", "",
                 "cycles each SM advances between barriers, clamped to "

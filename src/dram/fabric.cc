@@ -804,17 +804,17 @@ MemFabric::quiescentCycle(Cycle now)
     return true;
 }
 
-std::vector<MemRequest>
-MemFabric::drainResponses(unsigned sm, Cycle now)
+void
+MemFabric::drainResponses(unsigned sm, Cycle now,
+                          std::vector<MemRequest> &out)
 {
-    std::vector<MemRequest> out;
+    out.clear();
     auto &q = responses_[sm];
     std::size_t &cur = respCursor_[sm];
     while (cur < q.size() && q[cur].first <= now) {
         out.push_back(q[cur].second);
         ++cur;
     }
-    return out;
 }
 
 bool

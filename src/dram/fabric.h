@@ -387,15 +387,30 @@ class MemFabric : public ClockedUnit
      * lock-step queue held then. They are trimmed lazily, when
      * respond() appends to the queue and in saveState(). The cursor
      * makes this safe to call from SM workers — each touches only its
-     * own queue.
+     * own queue. `out` is the caller's reused buffer: it is cleared,
+     * then filled in queue order.
      */
-    std::vector<MemRequest> drainResponses(unsigned sm, Cycle now);
+    void drainResponses(unsigned sm, Cycle now,
+                        std::vector<MemRequest> &out);
 
     /** Any undrained response queued for SM `sm` (ready or not). */
     bool
     hasResponse(unsigned sm) const
     {
         return respCursor_[sm] < responses_[sm].size();
+    }
+
+    /**
+     * Ready cycle of the oldest undrained response for SM `sm`
+     * (kNoPendingEvent when none). Ready cycles never decrease along a
+     * queue, so no response for `sm` is deliverable before it until
+     * the fabric next cycles.
+     */
+    Cycle
+    nextResponseCycle(unsigned sm) const
+    {
+        return hasResponse(sm) ? responses_[sm][respCursor_[sm]].first
+                               : kNoPendingEvent;
     }
 
     /** All queues empty (for drain detection). */

@@ -11,6 +11,26 @@
 
 namespace vksim {
 
+namespace {
+
+/** The first multiple of `period` at or after `c`; kNoPendingEvent when
+ *  period is 0 (that sample track is off). */
+Cycle
+nextSampleCycle(Cycle c, Cycle period)
+{
+    return period ? (c + period - 1) / period * period : kNoPendingEvent;
+}
+
+/** How many of the sample cycles first, first + period, ... lie below
+ *  `end`. */
+std::size_t
+samplesBefore(Cycle first, Cycle end, Cycle period)
+{
+    return first < end ? (end - 1 - first) / period + 1 : 0;
+}
+
+} // namespace
+
 GpuConfig
 baselineGpuConfig()
 {
@@ -557,26 +577,13 @@ GpuSimulator::run()
         // frozen tail after parking; sleeping SMs' columns and the fabric
         // column are filled serially at the barrier.
         const std::size_t dig_base = result.digests.values.size();
-        Cycle dig_first = 0;
-        if (dig_period) {
-            dig_first =
-                ((e_start + dig_period - 1) / dig_period) * dig_period;
-            std::size_t count =
-                dig_first < epoch_end
-                    ? (epoch_end - 1 - dig_first) / dig_period + 1
-                    : 0;
-            result.digests.values.resize(dig_base + count * units);
-        }
-        Cycle occ_first = 0;
-        if (occ_period) {
-            occ_first =
-                ((e_start + occ_period - 1) / occ_period) * occ_period;
-            std::size_t count =
-                occ_first < epoch_end
-                    ? (epoch_end - 1 - occ_first) / occ_period + 1
-                    : 0;
-            occ_scratch.assign(count * config_.numSms, 0);
-        }
+        const Cycle dig_first = nextSampleCycle(e_start, dig_period);
+        const Cycle occ_first = nextSampleCycle(e_start, occ_period);
+        result.digests.values.resize(
+            dig_base + samplesBefore(dig_first, epoch_end, dig_period) * units);
+        occ_scratch.assign(
+            samplesBefore(occ_first, epoch_end, occ_period) * config_.numSms,
+            0);
         auto digest_at = [&](Cycle c, unsigned unit, std::uint64_t dg) {
             if (c == config_.digestInjectCycle
                 && unit == config_.digestInjectUnit)
@@ -588,19 +595,38 @@ GpuSimulator::run()
             std::size_t sample = (c - occ_first) / occ_period;
             occ_scratch[sample * config_.numSms + sm] = rays;
         };
+        auto next_sample = [&](Cycle c) {
+            return std::min(nextSampleCycle(c, dig_period),
+                            nextSampleCycle(c, occ_period));
+        };
 
         // Fork: each lane runs one SM over the span, touching only that
         // SM and its disjoint sample slots.
         active.assign(sched.active().begin(), sched.active().end());
         auto run_sm = [&](unsigned s) {
             SmCore &sm = *sms[s];
+            // A sample due at t records the state after cycle t.
+            auto sample = [&](Cycle t) {
+                if (dig_period && t % dig_period == 0)
+                    digest_at(t, s, sm.stateDigest());
+                if (occ_period && t % occ_period == 0)
+                    occ_at(t, s, sm.rtUnit().activeRays());
+            };
             Cycle c = e_start;
-            for (; c < epoch_end && !sm.sleepable(); ++c) {
+            while (c < epoch_end && !sm.sleepable()) {
                 sm.cycle(c);
-                if (dig_period && c % dig_period == 0)
-                    digest_at(c, s, sm.stateDigest());
-                if (occ_period && c % occ_period == 0)
-                    occ_at(c, s, sm.rtUnit().activeRays());
+                sample(c++);
+                // Event horizon (idle-skip only): settle the cycles up to
+                // the SM's next event, in pieces ending at due samples.
+                const Cycle to = config_.idleSkip && !sm.sleepable()
+                                     ? std::min(sm.nextEventCycle(),
+                                                epoch_end)
+                                     : c;
+                for (Cycle from = c; c < to; from = c) {
+                    c = std::min(to - 1, next_sample(c)) + 1;
+                    sm.settle(from, c);
+                    sample(c - 1);
+                }
             }
             // parked[s] <= epoch_end: first span cycle not executed
             // because the SM went sleepable there. The sentinel
@@ -609,25 +635,11 @@ GpuSimulator::run()
             // active.
             parked[s] =
                 c == epoch_end && !sm.sleepable() ? epoch_end + 1 : c;
-            if (c == epoch_end)
-                return;
             // Frozen tail: a parked SM's architectural state (hence its
-            // digest and ray occupancy) cannot change for the rest of
-            // the span.
-            if (dig_period) {
-                std::uint64_t frozen = sm.stateDigest();
-                for (Cycle t = ((c + dig_period - 1) / dig_period)
-                               * dig_period;
-                     t < epoch_end; t += dig_period)
-                    digest_at(t, s, frozen);
-            }
-            if (occ_period) {
-                unsigned rays = sm.rtUnit().activeRays();
-                for (Cycle t = ((c + occ_period - 1) / occ_period)
-                               * occ_period;
-                     t < epoch_end; t += occ_period)
-                    occ_at(t, s, rays);
-            }
+            // samples) cannot change for the rest of the span.
+            for (Cycle t = next_sample(c); t < epoch_end;
+                 t = next_sample(t + 1))
+                sample(t);
         };
         if (pool && active.size() > 1)
             pool->parallelFor(active.size(), [&](std::size_t i) {
@@ -682,10 +694,8 @@ GpuSimulator::run()
         // termination only), then fill the sleeping SMs' frozen columns
         // for the samples that remain.
         if (dig_period) {
-            std::size_t kept =
-                dig_first < now ? (now - 1 - dig_first) / dig_period + 1
-                                : 0;
-            result.digests.values.resize(dig_base + kept * units);
+            result.digests.values.resize(
+                dig_base + samplesBefore(dig_first, now, dig_period) * units);
             for (unsigned s = 0; s < config_.numSms; ++s) {
                 if (!sched.asleep(s))
                     continue;
@@ -720,7 +730,7 @@ GpuSimulator::run()
             if (sched.enabled())
                 sched.sleepAt(s, parked[s]);
             else
-                sms[s]->catchUpIdleCycles(parked[s], now);
+                sms[s]->settle(parked[s], now);
         }
 
         // Deliverable response for a sleeping SM → wake it for the next
@@ -791,6 +801,7 @@ GpuSimulator::run()
                     kRtLatencyBuckets)
             .merge(sm->rtLatency());
         result.uopDecodes += sm->uopDecodes();
+        result.smCyclesSkipped += sm->horizonSkips();
     }
     m.importGroup("gpu.dram", fabric.dramStats());
     for (unsigned p = 0; p < fabric.numPartitions(); ++p)

@@ -64,12 +64,14 @@ struct GpuConfig
     Cycle maxCycles = 500'000'000; ///< runaway watchdog (throws SimError)
 
     /**
-     * SM sleep (`--no-idle-skip` disables): the engine scheduler puts
-     * quiescent SMs to sleep and wakes them on warp dispatch or response
-     * delivery. The fabric's event-free fast path and the lazily ticked
-     * DRAM channels run either way. Behavior-neutral by contract — stats
-     * JSON, digest traces, and images are bit-identical with this on or
-     * off (see DESIGN.md, "Stepping contract").
+     * SM sleep and SM event horizons (`--no-idle-skip` disables): the
+     * engine scheduler puts quiescent SMs to sleep and wakes them on
+     * warp dispatch or response delivery, and a worker jumps an awake
+     * SM that issued nothing to its next event, settling the cycles in
+     * between in closed form. The fabric's event-free fast path and the
+     * lazily ticked DRAM channels run either way. Behavior-neutral by
+     * contract — stats JSON, digest traces, and images are bit-identical
+     * with this on or off (see DESIGN.md, "Stepping contract").
      */
     bool idleSkip = true;
 
@@ -216,7 +218,9 @@ struct RunResult
      * perturb the byte-identical stats dump) — exposed for tests, the
      * perf summary and the benchmarks.
      */
-    std::uint64_t smCyclesSkipped = 0;  ///< SM-cycles not simulated
+    /// SM-cycles not simulated: slept, or settled up to an SM's next
+    /// event (the latter not carried across a checkpoint resume).
+    std::uint64_t smCyclesSkipped = 0;
     std::uint64_t sweepUnitChecks = 0;  ///< per-unit invariant sweeps run
     std::uint64_t sweepUnitSkips = 0;   ///< sweeps skipped (unit asleep)
 
@@ -324,25 +328,35 @@ class SmCore : public RtMemPort, public ClockedUnit
      * Stronger than idle(): cycling this SM would be a pure counter
      * replay (no pending writebacks, RT unit fully quiescent down to
      * its write queue), so the scheduler may put it to sleep. See
-     * catchUpIdleCycles() for exactly what such a cycle does.
+     * settle() for exactly what such a cycle does.
      */
     bool sleepable() const;
 
     /**
-     * Replay the per-cycle effects of [from, to) sleeping cycles in
-     * bulk: the heartbeat counters cycle() unconditionally advances on
-     * a sleepable SM (rt.unit_cycles, core.idle_issue_cycles) and any
-     * timeline counter samples due in the span, emitted with the
-     * frozen (unchanged) values. Bit-identical to calling cycle() for
-     * each cycle of the span while sleepable() held.
+     * ClockedUnit, asked after cycle(now_): the first cycle after now_
+     * whose cycle() can change more than settle() applies.
+     * kNoPendingEvent while sleepable. now_ + 1 after a cycle that
+     * issued, or while the L1 request queue, an RT-unit queue, a Ready
+     * RT lane, an RT writeback or a traversal completion has work, or
+     * while some runnable split of a resident warp passes its
+     * scoreboard and structural checks. Otherwise the earliest of the
+     * next ALU/SFU writeback, the tag-heap top, the oldest fabric
+     * response for this SM, the RT unit's operation deadline and, when
+     * a split waits only on the SFU, the SFU's ready cycle.
      */
-    void catchUpIdleCycles(Cycle from, Cycle to);
+    Cycle nextEventCycle() const override;
 
-    /** ClockedUnit: nothing self-scheduled while sleepable. */
-    Cycle nextEventCycle() const override
-    {
-        return sleepable() ? kNoPendingEvent : 0;
-    }
+    /**
+     * Apply the cycles [from, to) in closed form, all of them before
+     * nextEventCycle() (or while sleepable). Per cycle: the heartbeat
+     * counters (rt.unit_cycles, core.idle_issue_cycles), the RT unit's
+     * occupancy counters, and for each resident warp with a runnable
+     * split one probe: a decode, the stall counter of the split the
+     * nextSplit % runnable rotation picks, and the nextSplit step. Due
+     * timeline samples are emitted with the frozen values.
+     * Bit-identical to calling cycle() for each cycle of the span.
+     */
+    void settle(Cycle from, Cycle to);
 
     /** Currently resident (live) warps. */
     unsigned residentWarps() const;
@@ -382,6 +396,10 @@ class SmCore : public RtMemPort, public ClockedUnit
 
     /** Micro-op fetches this SM's executor performed (telemetry). */
     std::uint64_t uopDecodes() const { return executor_.decodeCount(); }
+
+    /** Cycles settle() applied while the SM was awake, i.e. skipped up
+     *  to an event horizon (telemetry, not serialized). */
+    std::uint64_t horizonSkips() const { return horizonSkips_; }
 
     /**
      * Serialize / restore every piece of SM-owned state the digest walk
@@ -517,6 +535,12 @@ class SmCore : public RtMemPort, public ClockedUnit
         CounterSlot issueCtrl{"issue_ctrl"};
     } slots_;
 
+    /** The stall counter a probe of `uop` by `ws` at `now` hits (the
+     *  scoreboard first, then the unit's structural hazard), or
+     *  nullptr when it issues. */
+    CounterSlot Slots::*stallOf(const WarpSlot &ws,
+                                const vptx::MicroOp &uop, Cycle now) const;
+
     Cache l1_;
     std::unique_ptr<Cache> rtCache_;
     RtUnit rtUnit_;
@@ -547,9 +571,11 @@ class SmCore : public RtMemPort, public ClockedUnit
     std::deque<L1Req> l1Queue_;
 
     /** Reused per-instruction buffers: handleMemInstr's coalesced load
-     *  and store sectors, and drainFabric's MSHR fill targets. */
+     *  and store sectors, and drainFabric's responses and MSHR fill
+     *  targets. */
     std::vector<Addr> loadSectors_;
     std::vector<Addr> storeSectors_;
+    std::vector<MemRequest> responses_;
     std::vector<std::uint64_t> fillTargets_;
 
     std::unordered_map<std::uint64_t, LdstOp> ldstOps_;
@@ -599,6 +625,7 @@ class SmCore : public RtMemPort, public ClockedUnit
     TimelineShard *timeline_ = nullptr;
 
     Cycle now_ = 0; ///< updated at each cycle() for the RT port callbacks
+    std::uint64_t horizonSkips_ = 0;
 };
 
 /** Top-level timed simulator. */

@@ -24,7 +24,7 @@ EngineScheduler::wake(unsigned sm, Cycle resume)
     if (u.awake)
         return;
     vksim_assert(resume >= u.sleepSince);
-    sms_[sm]->catchUpIdleCycles(u.sleepSince, resume);
+    sms_[sm]->settle(u.sleepSince, resume);
     skipped_ += resume - u.sleepSince;
     u.awake = true;
     u.digestValid = false;

@@ -7,7 +7,7 @@
  * quiescent via SmCore::sleepable() — and hands the loop only the
  * active set. A sleeping SM is woken by warp dispatch or by a fabric
  * response addressed to it; at wake (and at end of run) the skipped
- * span is replayed in bulk through SmCore::catchUpIdleCycles(), which
+ * span is replayed in bulk through SmCore::settle(), which
  * reproduces exactly what cycling a sleepable SM every cycle would
  * have done. The result is bit-identical stats, digests, timelines and
  * images with idle-skip on or off (DESIGN.md, "Stepping contract").

@@ -110,21 +110,92 @@ SmCore::sleepable() const
     // idle() plus the two residues it tolerates: in-flight ALU/SFU
     // writebacks (which retire on their own clock) and RT-unit write
     // queues. With all of these empty, cycle() provably reduces to the
-    // counter replay catchUpIdleCycles() performs.
+    // counter replay settle() performs.
     return idle() && writebacks_.empty() && rtUnit_.quiescent();
 }
 
+Cycle
+SmCore::nextEventCycle() const
+{
+    if (sleepable())
+        return kNoPendingEvent;
+    // Work that moves every cycle. A non-empty L1 queue retries its
+    // head each cycle even while the MSHRs are full.
+    const Cycle next_cycle = now_ + 1;
+    if (!issuedSlots_.empty() || !l1Queue_.empty())
+        return next_cycle;
+    Cycle next = std::min(rtUnit_.nextEventCycle(),
+                          fabric_->nextResponseCycle(smId_));
+    if (!tagReady_.empty())
+        next = std::min(next, tagReady_.top().at);
+    for (const PendingWriteback &wb : writebacks_)
+        next = std::min(next, wb.at);
+    if (next <= next_cycle)
+        return next_cycle;
+    // Any split that would issue makes the next cycle an event; one
+    // that waits only on the SFU can issue once the SFU is ready.
+    for (unsigned slot : warpOrder_) {
+        const WarpSlot &ws = warps_[slot];
+        if (ws.warp->finished())
+            continue;
+        const vptx::WarpCflow &cflow = ws.warp->cflow;
+        for (unsigned i = 0, n = cflow.runnableCount(); i < n; ++i) {
+            const vptx::MicroOp &uop =
+                executor_.uops().at(cflow.split(cflow.runnableSplit(i)).pc);
+            CounterSlot Slots::*stall = stallOf(ws, uop, next_cycle);
+            if (stall == nullptr)
+                return next_cycle;
+            if (stall == &Slots::stallSfu)
+                next = std::min(next, sfuReadyAt_);
+        }
+    }
+    return next;
+}
+
 void
-SmCore::catchUpIdleCycles(Cycle from, Cycle to)
+SmCore::settle(Cycle from, Cycle to)
 {
     if (to <= from)
         return;
-    // What cycle() does on a sleepable SM, n times over: the RT unit
-    // heartbeat, the empty-issue counter, and any due timeline counter
-    // samples (whose values are frozen while asleep).
     const Cycle n = to - from;
     rtStats_.counter(slots_.unitCycles).inc(n);
     stats_.counter(slots_.idleIssueCycles).inc(n);
+    rtUnit_.settle(n);
+    // Each cycle probes every resident warp once (GTO's greedy slot was
+    // dropped by the cycle that issued nothing before the span). Probe
+    // j of a warp picks runnable split (nextSplit + j) % runnable,
+    // decodes it, and stalls: the state that decides the stall is
+    // frozen, and the SFU stays busy past the span.
+    for (unsigned slot : warpOrder_) {
+        WarpSlot &ws = warps_[slot];
+        const vptx::WarpCflow &cflow = ws.warp->cflow;
+        const unsigned runnable = cflow.runnableCount();
+        if (ws.warp->finished() || runnable == 0)
+            continue;
+        for (unsigned i = 0; i < runnable; ++i) {
+            const unsigned first =
+                (i + runnable - ws.nextSplit % runnable) % runnable;
+            const Cycle probes =
+                n / runnable + (first < n % runnable ? 1 : 0);
+            if (probes == 0)
+                continue;
+            const vptx::MicroOp &uop =
+                executor_.uops().at(cflow.split(cflow.runnableSplit(i)).pc);
+            CounterSlot Slots::*stall = stallOf(ws, uop, from);
+            vksim_assert(stall != nullptr);
+            stats_.counter(slots_.*stall).inc(probes);
+        }
+        ws.nextSplit += static_cast<unsigned>(n);
+        executor_.countFetches(n);
+    }
+    // A sleepable SM is parked, not cycled, under every stepping mode:
+    // its now_ keeps the cycle of its last real cycle(), and the
+    // scheduler counts its skipped cycles. An awake SM's span ends at
+    // an event horizon.
+    if (!sleepable()) {
+        now_ = to - 1;
+        horizonSkips_ += n;
+    }
     if (timeline_ && timeline_->sampleInterval() != 0) {
         const Cycle interval = timeline_->sampleInterval();
         for (Cycle t = ((from + interval - 1) / interval) * interval;
@@ -273,6 +344,31 @@ SmCore::handleMemInstr(unsigned slot, const vptx::StepResult &res,
         l1Queue_.push_back({s, true, AccessOrigin::Shader, 0});
 }
 
+CounterSlot SmCore::Slots::*
+SmCore::stallOf(const WarpSlot &ws, const vptx::MicroOp &uop,
+                Cycle now) const
+{
+    // Scoreboard: stall on pending source or destination registers.
+    for (int reg : {static_cast<int>(uop.dst), static_cast<int>(uop.src0),
+                    static_cast<int>(uop.src1), static_cast<int>(uop.src2)})
+        if (reg >= 0 && ws.pendingRegs.test(reg))
+            return &Slots::stallScoreboard;
+
+    // Structural hazards.
+    switch (uop.unit) {
+      case vptx::ExecUnit::LDST:
+        return l1Queue_.size() >= config_.ldstQueueSize
+                   ? &Slots::stallLdstQueue
+                   : nullptr;
+      case vptx::ExecUnit::SFU:
+        return sfuReadyAt_ > now ? &Slots::stallSfu : nullptr;
+      case vptx::ExecUnit::RT:
+        return rtUnit_.canAccept() ? nullptr : &Slots::stallRtFull;
+      default:
+        return nullptr;
+    }
+}
+
 bool
 SmCore::issueFromWarp(unsigned slot, Cycle now)
 {
@@ -293,38 +389,9 @@ SmCore::issueFromWarp(unsigned slot, Cycle now)
     // checks and the functional step all consume this micro-op.
     const vptx::WarpSplit &split = warp.cflow.split(split_idx);
     const vptx::MicroOp &uop = executor_.fetch(split.pc);
-
-    // Scoreboard: stall on pending source or destination registers.
-    for (int reg : {static_cast<int>(uop.dst), static_cast<int>(uop.src0),
-                    static_cast<int>(uop.src1), static_cast<int>(uop.src2)})
-        if (reg >= 0 && ws.pendingRegs.test(reg)) {
-            stats_.counter(slots_.stallScoreboard).inc();
-            return false;
-        }
-
-    // Structural hazards.
-    vptx::ExecUnit unit = uop.unit;
-    switch (unit) {
-      case vptx::ExecUnit::LDST:
-        if (l1Queue_.size() >= config_.ldstQueueSize) {
-            stats_.counter(slots_.stallLdstQueue).inc();
-            return false;
-        }
-        break;
-      case vptx::ExecUnit::SFU:
-        if (sfuReadyAt_ > now) {
-            stats_.counter(slots_.stallSfu).inc();
-            return false;
-        }
-        break;
-      case vptx::ExecUnit::RT:
-        if (!rtUnit_.canAccept()) {
-            stats_.counter(slots_.stallRtFull).inc();
-            return false;
-        }
-        break;
-      default:
-        break;
+    if (CounterSlot Slots::*stall = stallOf(ws, uop, now)) {
+        stats_.counter(slots_.*stall).inc();
+        return false;
     }
 
     // Functional execution at issue (re-using the fetched micro-op).
@@ -466,7 +533,8 @@ SmCore::pumpL1(Cycle now)
 void
 SmCore::drainFabric(Cycle now)
 {
-    for (const MemRequest &resp : fabric_->drainResponses(smId_, now)) {
+    fabric_->drainResponses(smId_, now, responses_);
+    for (const MemRequest &resp : responses_) {
         if (resp.write)
             continue;
         Cache &cache = (resp.origin == AccessOrigin::RtUnit && rtCache_)

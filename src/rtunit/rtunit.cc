@@ -470,6 +470,29 @@ RtUnit::cycle(Cycle now)
     pumpWriteback(now);
 }
 
+Cycle
+RtUnit::nextEventCycle() const
+{
+    if (!memQueue_.empty() || !responseFifo_.empty() || !writeQueue_.empty()
+        || !completions_.empty())
+        return 0;
+    for (const WarpEntry &e : entries_)
+        if (e.valid && (e.lanesReady > 0 || e.inWriteback))
+            return 0;
+    return opDeadline_;
+}
+
+void
+RtUnit::settle(Cycle n)
+{
+    if (liveEntries_ == 0)
+        return;
+    stats_->counter(slots_.busyCycles).inc(n);
+    stats_->counter(slots_.activeRayCycles).inc(n * activeRays());
+    stats_->counter(slots_.slotRayCycles).inc(n * liveEntries_ * kWarpSize);
+    stats_->counter(slots_.occupiedWarpCycles).inc(n * liveEntries_);
+}
+
 void
 RtUnit::checkInvariants(check::Reporter &rep, const std::string &path,
                         Cycle now) const

@@ -119,10 +119,23 @@ class RtUnit : public ClockedUnit
 
     /** ClockedUnit: a quiescent RT unit has nothing scheduled. */
     bool idle() const override { return quiescent(); }
-    Cycle nextEventCycle() const override
-    {
-        return quiescent() ? kNoPendingEvent : 0;
-    }
+
+    /**
+     * 0 (every cycle) while any queue holds work, a lane is Ready, a
+     * warp is writing back or a completion awaits the SM; otherwise the
+     * operation deadline (kNoPendingEvent when no lane is in an
+     * operation). Before it, cycle() changes nothing but the per-cycle
+     * occupancy counters, which settle() applies. Responses to in-flight
+     * reads arrive through onResponse(), on the owning SM's clock.
+     */
+    Cycle nextEventCycle() const override;
+
+    /**
+     * Apply `n` cycles before nextEventCycle() in closed form: the
+     * busy, active-ray, slot-ray and occupied-warp counters cycle()
+     * adds per cycle while a warp is resident.
+     */
+    void settle(Cycle n);
 
     /** Rays still traversing right now (Fig. 18 occupancy): the sum of
      *  the resident warps' live-lane counts. */

@@ -111,6 +111,10 @@ class WarpExecutor
     /** Micro-op fetches performed (decode-count regression telemetry). */
     std::uint64_t decodeCount() const { return decodes_; }
 
+    /** Count `n` fetches the timing model applied in closed form
+     *  instead of calling fetch() (settled no-issue probes). */
+    void countFetches(std::uint64_t n) { decodes_ += n; }
+
   private:
     void execLanes(Warp &warp, Mask mask, const MicroOp &u,
                    StepResult &result);

@@ -35,13 +35,22 @@ testFabric(unsigned partitions = 2)
     return cfg;
 }
 
+/** The responses drainResponses() delivers to SM `sm` at `now`. */
+std::vector<MemRequest>
+drain(MemFabric &fabric, unsigned sm, Cycle now)
+{
+    std::vector<MemRequest> out;
+    fabric.drainResponses(sm, now, out);
+    return out;
+}
+
 /** Run until a response for SM 0 appears or `limit` cycles pass. */
 std::vector<MemRequest>
 runUntilResponse(MemFabric &fabric, Cycle *now, Cycle limit = 2000)
 {
     for (Cycle end = *now + limit; *now < end; ++*now) {
         fabric.cycle(*now);
-        auto resp = fabric.drainResponses(0, *now);
+        auto resp = drain(fabric, 0, *now);
         if (!resp.empty())
             return resp;
     }
@@ -101,7 +110,7 @@ TEST(FabricTest, PartitionInterleavingSplitsTraffic)
     unsigned got = 0;
     for (; now < 3000 && got < 4; ++now) {
         fabric.cycle(now);
-        got += static_cast<unsigned>(fabric.drainResponses(0, now).size());
+        got += static_cast<unsigned>(drain(fabric, 0, now).size());
     }
     EXPECT_EQ(got, 4u);
     EXPECT_GT(fabric.l2Stats(0).get("accesses.shader"), 0u);
@@ -124,7 +133,7 @@ TEST(FabricTest, RowBufferLocalityCountsHits)
     unsigned got = 0;
     for (; now < 4000 && got < 8; ++now) {
         fabric.cycle(now);
-        got += static_cast<unsigned>(fabric.drainResponses(0, now).size());
+        got += static_cast<unsigned>(drain(fabric, 0, now).size());
     }
     EXPECT_EQ(got, 8u);
     EXPECT_GE(fabric.dramStats().get("row_hits"), 6u)
@@ -147,7 +156,7 @@ TEST(FabricTest, RandomBanksLowerRowLocality)
     unsigned got = 0;
     for (; now < 4000 && got < 8; ++now) {
         fabric.cycle(now);
-        got += static_cast<unsigned>(fabric.drainResponses(0, now).size());
+        got += static_cast<unsigned>(drain(fabric, 0, now).size());
     }
     EXPECT_EQ(got, 8u);
     EXPECT_EQ(fabric.dramStats().get("row_hits"), 0u);
@@ -164,7 +173,7 @@ TEST(FabricTest, WritesConsumeBandwidthWithoutResponses)
     fabric.inject(req, now);
     for (; now < 200; ++now)
         fabric.cycle(now);
-    EXPECT_TRUE(fabric.drainResponses(0, now).empty());
+    EXPECT_TRUE(drain(fabric, 0, now).empty());
     EXPECT_EQ(fabric.dramStats().get("requests"), 1u);
     EXPECT_TRUE(fabric.idle());
 }
@@ -217,7 +226,7 @@ TEST(FabricTest, DramBackpressureDoesNotInflateL2Stats)
     unsigned got = 0;
     for (; now < 60000 && (got < 1 || !fabric.idle()); ++now) {
         fabric.cycle(now);
-        got += static_cast<unsigned>(fabric.drainResponses(0, now).size());
+        got += static_cast<unsigned>(drain(fabric, 0, now).size());
     }
     EXPECT_EQ(got, 1u);
     EXPECT_EQ(fabric.l2Total("accesses.shader"), kWrites + 1);
@@ -493,7 +502,7 @@ TEST(FabricTest, XorFoldInterleaveBreaksPartitionCamping)
         }
         for (; now < 20000 && !fabric.idle(); ++now) {
             fabric.cycle(now);
-            fabric.drainResponses(0, now);
+            drain(fabric, 0, now);
         }
         return std::pair<std::uint64_t, std::uint64_t>(
             fabric.l2Stats(0).get("accesses.shader"),
@@ -539,7 +548,7 @@ TEST(FabricTest, Fig16CountersAreRatioInvariant)
         }
         for (; now < 40000 && !fabric.idle(); ++now) {
             fabric.cycle(now);
-            fabric.drainResponses(0, now);
+            drain(fabric, 0, now);
         }
         std::map<std::string, std::uint64_t> out;
         for (const char *counter :
@@ -586,7 +595,7 @@ TEST(FabricTest, MshrMergeAtL2ReturnsAllTags)
     unsigned got = 0;
     for (; now < 2000 && got < 3; ++now) {
         fabric.cycle(now);
-        got += static_cast<unsigned>(fabric.drainResponses(0, now).size());
+        got += static_cast<unsigned>(drain(fabric, 0, now).size());
     }
     EXPECT_EQ(got, 3u);
     // Only one DRAM request despite three requesters.
@@ -1452,7 +1461,7 @@ TEST(FabricTest, LazyResponseTrimMatchesPerCycleTrim)
                  : now;
         std::vector<std::vector<MemRequest>> staged(span_end - now);
         for (Cycle c = now; c < ran_until; ++c) {
-            drained += fab->drainResponses(0, c).size();
+            drained += drain(*fab, 0, c).size();
             for (unsigned sm = 0; sm < 2; ++sm) {
                 if (rng.nextBelow(3) != 0)
                     continue;
